@@ -43,9 +43,10 @@ std::size_t CommLog::event_count() const {
   return events_.size();
 }
 
-std::vector<CommEvent> CommLog::events() const {
+std::vector<CommEvent> CommLog::events_since(std::size_t begin) const {
   std::lock_guard<std::mutex> lock(mu_);
-  return events_;
+  if (begin >= events_.size()) return {};
+  return {events_.begin() + static_cast<std::ptrdiff_t>(begin), events_.end()};
 }
 
 std::map<CommKey, index_t> CommLog::counts() const {
@@ -78,20 +79,6 @@ index_t CommLog::total_bytes() const {
   return n;
 }
 
-double CommLog::measured_seconds() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  double s = 0.0;
-  for (const CommEvent& e : events_) s += e.seconds;
-  return s;
-}
-
-double CommLog::predicted_seconds() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  double s = 0.0;
-  for (const CommEvent& e : events_) s += e.predicted_seconds;
-  return s;
-}
-
 void CommLog::set_enabled(bool enabled) {
   std::lock_guard<std::mutex> lock(mu_);
   enabled_ = enabled;
@@ -109,11 +96,7 @@ bool CommLog::dump_csv(const std::string& path) const {
                "seq,pattern,src_rank,dst_rank,bytes,offproc_bytes,detail,"
                "seconds,predicted_seconds,hops,overlap_seconds,split_phase,"
                "blocks\n");
-  std::vector<CommEvent> snapshot;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    snapshot = events_;
-  }
+  const std::vector<CommEvent> snapshot = events();
   for (std::size_t i = 0; i < snapshot.size(); ++i) {
     const CommEvent& e = snapshot[i];
     std::fprintf(f, "%zu,%s,%d,%d,%lld,%lld,%lld,%.9f,%.9f,%d,%.9f,%d,%d\n",
@@ -126,13 +109,6 @@ bool CommLog::dump_csv(const std::string& path) const {
   }
   std::fclose(f);
   return true;
-}
-
-std::vector<CommEvent> CommScope::events() const {
-  auto all = CommLog::instance().events();
-  if (start_ >= all.size()) return {};
-  return std::vector<CommEvent>(all.begin() + static_cast<std::ptrdiff_t>(start_),
-                                all.end());
 }
 
 std::map<CommKey, index_t> CommScope::counts() const {

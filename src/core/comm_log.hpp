@@ -149,8 +149,15 @@ class CommLog {
   /// Total number of events since the last reset.
   [[nodiscard]] std::size_t event_count() const;
 
+  /// Copy of the events at positions [begin, event_count()): the window a
+  /// measurement opened at `begin = event_count()`. O(window), not O(log).
+  /// Empty when `begin` is at or past the end, e.g. after a reset().
+  [[nodiscard]] std::vector<CommEvent> events_since(std::size_t begin) const;
+
   /// Snapshot of all events since the last reset.
-  [[nodiscard]] std::vector<CommEvent> events() const;
+  [[nodiscard]] std::vector<CommEvent> events() const {
+    return events_since(0);
+  }
 
   /// Aggregated operation counts keyed by (pattern, src rank, dst rank).
   [[nodiscard]] std::map<CommKey, index_t> counts() const;
@@ -163,12 +170,6 @@ class CommLog {
 
   /// Total payload bytes since the last reset.
   [[nodiscard]] index_t total_bytes() const;
-
-  /// Sum of measured primitive wall times since the last reset (seconds).
-  [[nodiscard]] double measured_seconds() const;
-
-  /// Sum of cost-model predictions since the last reset (seconds).
-  [[nodiscard]] double predicted_seconds() const;
 
   /// Enables/disables recording (used to exclude warm-up/setup phases).
   void set_enabled(bool enabled);
@@ -192,7 +193,9 @@ class CommScope {
   CommScope() : start_(CommLog::instance().event_count()) {}
 
   /// Events recorded since scope entry.
-  [[nodiscard]] std::vector<CommEvent> events() const;
+  [[nodiscard]] std::vector<CommEvent> events() const {
+    return CommLog::instance().events_since(start_);
+  }
 
   /// Aggregated counts of events recorded since scope entry.
   [[nodiscard]] std::map<CommKey, index_t> counts() const;

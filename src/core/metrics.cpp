@@ -34,11 +34,7 @@ Metrics MetricScope::stop() {
   result_.busy_seconds = Machine::instance().busy_seconds() - t0_busy_;
   result_.flop_count = flops::total() - t0_flops_;
   result_.memory_bytes = memory::peak_bytes() - base_mem_;
-  auto all = CommLog::instance().events();
-  if (t0_events_ < all.size()) {
-    result_.comm_events.assign(
-        all.begin() + static_cast<std::ptrdiff_t>(t0_events_), all.end());
-  }
+  result_.comm_events = CommLog::instance().events_since(t0_events_);
   return result_;
 }
 

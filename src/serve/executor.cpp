@@ -249,6 +249,9 @@ Json Executor::run_one(Job& job, const std::string& name, bool last) {
       }
       trace::reset();
     }
+    // A job boundary: the log is append-only within a run, and a warm
+    // daemon would otherwise keep every job's events forever.
+    CommLog::instance().reset();
     const double run0 = monotonic_seconds();
     const RunResult r = def->run_with_defaults(cfg);
     const double cold = monotonic_seconds() - run0;

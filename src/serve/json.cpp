@@ -15,7 +15,7 @@ constexpr int kMaxDepth = 64;
 struct Parser {
   std::string_view text;
   std::size_t pos = 0;
-  std::string err;
+  std::string err{};
 
   [[nodiscard]] bool at_end() const { return pos >= text.size(); }
   [[nodiscard]] char peek() const { return text[pos]; }

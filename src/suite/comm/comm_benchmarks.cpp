@@ -8,6 +8,7 @@
 #include "core/ops.hpp"
 #include "core/registry.hpp"
 #include "core/rng.hpp"
+#include "suite/common.hpp"
 #include "suite/register_all.hpp"
 
 namespace dpf::suite {
@@ -66,19 +67,7 @@ RunResult run_scatter(const RunConfig& cfg) {
   RunResult r;
   r.metrics = scope.stop();
   r.metrics.memory_bytes = mem.peak();
-  // Every scattered location must hold a value from src.
-  double bad = 0;
-  for (index_t i = 0; i < n; ++i) {
-    if (dst[map[i]] != src[i]) {
-      // collisions: the last writer wins; verify dst holds *some* src value
-      bool found = false;
-      for (index_t j = i + 1; j < n && !found; ++j) {
-        if (map[j] == map[i] && dst[map[i]] == src[j]) found = true;
-      }
-      if (!found) bad += 1;
-    }
-  }
-  r.checks["residual"] = bad;
+  r.checks["residual"] = static_cast<double>(scatter_misses(dst, src, map));
   return r;
 }
 
@@ -137,6 +126,22 @@ RunResult run_transpose(const RunConfig& cfg) {
 }
 
 }  // namespace
+
+index_t scatter_misses(const Array1<double>& dst, const Array1<double>& src,
+                       const Array1<index_t>& map) {
+  // Descending over i, matched[t] says whether some later writer to t left
+  // its value in dst[t]: a mismatch without one is a miss.
+  std::vector<bool> matched(static_cast<std::size_t>(dst.size()));
+  index_t misses = 0;
+  for (index_t i = map.size(); i-- > 0;) {
+    if (dst[map[i]] == src[i]) {
+      matched[static_cast<std::size_t>(map[i])] = true;
+    } else if (!matched[static_cast<std::size_t>(map[i])]) {
+      ++misses;
+    }
+  }
+  return misses;
+}
 
 void register_comm_benchmarks() {
   Registry& reg = Registry::instance();

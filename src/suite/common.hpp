@@ -38,6 +38,12 @@ inline Array2<double> random_dense(index_t n, index_t m, std::uint64_t seed,
   return a;
 }
 
+/// Validates a scatter `dst[map[i]] = src[i]` under last-writer-wins
+/// collisions: counts the i whose target holds neither src[i] nor the value
+/// of a later writer to the same target. O(map size + dst size).
+index_t scatter_misses(const Array1<double>& dst, const Array1<double>& src,
+                       const Array1<index_t>& map);
+
 /// Runs `body` under a MetricScope and stores the result as a named segment.
 template <typename F>
 void timed_segment(RunResult& r, const std::string& name, F&& body) {

@@ -6,6 +6,7 @@
 #include "comm/comm.hpp"
 #include "core/ops.hpp"
 #include "core/rng.hpp"
+#include "suite/common.hpp"
 
 namespace dpf {
 namespace {
@@ -195,6 +196,64 @@ TEST_F(CommTest, ScatterAddCombines) {
   EXPECT_DOUBLE_EQ(dst[1], 3.0);
   EXPECT_EQ(flops::total(), 6);
   EXPECT_EQ(CommLog::instance().count(CommPattern::ScatterCombine), 1);
+}
+
+// The scatter benchmark's former validation, kept as the oracle: for each
+// mismatched writer i, rescan every later writer to the same target.
+index_t scatter_misses_nested(const Array1<double>& dst,
+                              const Array1<double>& src,
+                              const Array1<index_t>& map) {
+  const index_t n = map.size();
+  index_t bad = 0;
+  for (index_t i = 0; i < n; ++i) {
+    if (dst[map[i]] != src[i]) {
+      bool found = false;
+      for (index_t j = i + 1; j < n && !found; ++j) {
+        if (map[j] == map[i] && dst[map[i]] == src[j]) found = true;
+      }
+      if (!found) bad += 1;
+    }
+  }
+  return bad;
+}
+
+TEST_F(CommTest, ScatterMissCountMatchesNestedLoopOracle) {
+  const index_t n = 4096;
+  auto src = make_vector<double>(n);
+  auto dst = make_vector<double>(n);
+  for (index_t i = 0; i < n; ++i) src[i] = static_cast<double>(2 * i);
+  Array1<index_t> map{Shape<1>(n)};
+
+  // A random map: about a quarter of the targets take several writers.
+  const Rng rng(0x51c2);
+  for (index_t i = 0; i < n; ++i) {
+    map[i] = static_cast<index_t>(rng.below(static_cast<std::uint64_t>(i), n));
+  }
+  comm::scatter_into(dst, src, map);
+  EXPECT_EQ(suite::scatter_misses(dst, src, map), 0);
+  EXPECT_EQ(scatter_misses_nested(dst, src, map), 0);
+
+  // A deliberately corrupted dst: every eleventh target holds its first
+  // writer's value, not the last one's, and every seventh no src value.
+  for (index_t i = n; i-- > 0;) {
+    if (map[i] % 11 == 0) dst[map[i]] = src[i];
+  }
+  for (index_t i = 0; i < n; ++i) {
+    if (map[i] % 7 == 0) dst[map[i]] = -1.0;
+  }
+  const index_t bad = scatter_misses_nested(dst, src, map);
+  EXPECT_GT(bad, 0);
+  EXPECT_EQ(suite::scatter_misses(dst, src, map), bad);
+
+  // Every element hits one target, which holds a middle writer's value:
+  // the writers after it miss, the ones before it do not.
+  map.fill(0);
+  dst[0] = src[n / 2];
+  EXPECT_EQ(scatter_misses_nested(dst, src, map), n - 1 - n / 2);
+  EXPECT_EQ(suite::scatter_misses(dst, src, map), n - 1 - n / 2);
+  comm::scatter_into(dst, src, map);
+  EXPECT_EQ(suite::scatter_misses(dst, src, map), 0);
+  EXPECT_EQ(scatter_misses_nested(dst, src, map), 0);
 }
 
 TEST_F(CommTest, ScanSumInclusiveExclusive) {

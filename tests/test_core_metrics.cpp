@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <map>
 #include <thread>
+#include <vector>
 
 #include "comm/comm.hpp"
 #include "core/metrics.hpp"
@@ -93,6 +95,90 @@ TEST(Metrics, ScopeCapturesOnlyItsWindow) {
   // Stop is idempotent.
   const Metrics m2 = scope.stop();
   EXPECT_EQ(m2.flop_count, m.flop_count);
+}
+
+// Measurement windows over a long log: each window reads exactly the events
+// recorded since it opened, in order, at a cost independent of the history.
+class MeasurementWindowTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    CommLog::instance().reset();
+    for (index_t i = 0; i < (index_t{1} << 18); ++i) {
+      record(CommPattern::Stencil, -1);
+    }
+  }
+  void TearDown() override { CommLog::instance().reset(); }
+
+  /// Records one event carrying `tag` in its detail field.
+  static void record(CommPattern p, index_t tag) {
+    CommLog::instance().record(CommEvent{.pattern = p, .detail = tag});
+  }
+
+  static std::vector<index_t> tags(const std::vector<CommEvent>& events) {
+    std::vector<index_t> out;
+    for (const CommEvent& e : events) out.push_back(e.detail);
+    return out;
+  }
+};
+
+TEST_F(MeasurementWindowTest, MetricScopeReturnsExactlyItsWindow) {
+  MetricScope scope;
+  for (index_t k = 0; k < 3; ++k) record(CommPattern::Gather, k);
+  EXPECT_EQ(tags(scope.stop().comm_events), (std::vector<index_t>{0, 1, 2}));
+}
+
+TEST_F(MeasurementWindowTest, CommScopeEventsCountsAndCountCoverItsWindow) {
+  CommScope scope;
+  record(CommPattern::Gather, 0);
+  record(CommPattern::Reduction, 1);
+  record(CommPattern::Gather, 2);
+  EXPECT_EQ(tags(scope.events()), (std::vector<index_t>{0, 1, 2}));
+  const std::map<CommKey, index_t> expected{
+      {CommKey{CommPattern::Gather, 0, 0}, 2},
+      {CommKey{CommPattern::Reduction, 0, 0}, 1}};
+  EXPECT_EQ(scope.counts(), expected);
+  EXPECT_EQ(scope.count(CommPattern::Gather), 2);
+  EXPECT_EQ(scope.count(CommPattern::Stencil), 0);
+}
+
+TEST_F(MeasurementWindowTest, SegmentTimerInsideOuterScopeSeesOnlyItsBodies) {
+  MetricScope outer;
+  SegmentTimer segment;
+  record(CommPattern::Broadcast, 0);
+  segment.run([] {
+    record(CommPattern::Gather, 1);
+    record(CommPattern::Gather, 2);
+  });
+  record(CommPattern::Broadcast, 3);
+  segment.run([] { record(CommPattern::Scatter, 4); });
+  const Metrics m = outer.stop();
+  EXPECT_EQ(tags(segment.total().comm_events),
+            (std::vector<index_t>{1, 2, 4}));
+  EXPECT_EQ(tags(m.comm_events), (std::vector<index_t>{0, 1, 2, 3, 4}));
+}
+
+TEST_F(MeasurementWindowTest, WindowOpenedBeforeResetReturnsNoEvents) {
+  MetricScope metric;
+  CommScope comm;
+  CommLog::instance().reset();
+  record(CommPattern::Gather, 0);
+  EXPECT_TRUE(metric.stop().comm_events.empty());
+  EXPECT_TRUE(comm.events().empty());
+  EXPECT_TRUE(comm.counts().empty());
+  EXPECT_EQ(comm.count(CommPattern::Gather), 0);
+}
+
+TEST_F(MeasurementWindowTest, WindowCostDoesNotGrowWithTheLog) {
+  const auto t0 = std::chrono::steady_clock::now();
+  for (index_t w = 0; w < 200; ++w) {
+    MetricScope scope;
+    record(CommPattern::Gather, w);
+    ASSERT_EQ(tags(scope.stop().comm_events), std::vector<index_t>{w});
+  }
+  // A window that copied the whole log moved 2^18 events (about 21 MB) per
+  // stop(), so 200 of them took on the order of a second.
+  EXPECT_LT(std::chrono::steady_clock::now() - t0,
+            std::chrono::milliseconds(50));
 }
 
 TEST(Metrics, FormatContainsTheFourHeadlineMetrics) {

@@ -348,6 +348,25 @@ TEST_F(ServeExecutorTest, SecondIdenticalJobIsServedFromTheStore) {
   EXPECT_EQ(1u, s.calibrations);  // probed exactly once for this config
 }
 
+TEST_F(ServeExecutorTest, CommLogDoesNotGrowAcrossJobs) {
+  serve::JobQueue queue;
+  serve::ResultStore store;
+  serve::CalibrationCache calib;
+  serve::Executor ex(queue, store, calib);
+  serve::Job job;
+  job.benchmarks = {"reduction"};
+  job.params = {{"n", 4096}};
+  job.no_cache = true;
+  std::size_t after_first = 0;
+  for (int i = 0; i < 5; ++i) {
+    ex.run_job(job);
+    if (i == 0) after_first = CommLog::instance().event_count();
+  }
+  EXPECT_EQ(5u, ex.stats().cold_runs);
+  EXPECT_GT(after_first, 0u);
+  EXPECT_EQ(after_first, CommLog::instance().event_count());
+}
+
 // --- Warm-machine bit-identity vs fresh one-shot processes ---------------
 
 /// Runs `dpfrun run <bench> --checks-hex` in a fresh process under the
