@@ -91,16 +91,17 @@ void butterfly_into(Array<T, R>& dst, const Array<T, R>& src, index_t h) {
     key.mix(sizeof(T));
     key.mix_owner_structure(src, p);
     key.mix_owner_structure(dst, p);
-    static thread_local detail::OffprocCache cache;
-    if (!cache.get(key.h, offproc)) {
+    static thread_local detail::OffprocMemo memo;
+    offproc = memo.get(key.h, [&] {
+      index_t moved = 0;
       for (index_t i = 0; i < n; ++i) {
         if (detail::owner_id_linear(dst, i) !=
             detail::owner_id_linear(src, i ^ h)) {
-          offproc += static_cast<index_t>(sizeof(T));
+          moved += static_cast<index_t>(sizeof(T));
         }
       }
-      cache.put(key.h, offproc);
-    }
+      return moved;
+    });
   }
   if (ps.split) {
     detail::record_split(CommPattern::Butterfly, static_cast<int>(R),

@@ -179,17 +179,9 @@ void cshift_into(Array<T, R>& dst, const Array<T, R>& src, std::size_t axis,
     });
   }
 
-  index_t offproc = 0;
-  const int procs_here = src.layout().procs_on_axis(axis, p);
-  if (procs_here > 1 && sh != 0) {
-    const index_t moved = detail::moved_slots(
-        n, [&](index_t j) { return (j + sh) % n; }, src.layout().dist(),
-        procs_here);
-    // Elements sharing one coordinate along the shifted axis.
-    offproc = moved * (src.bytes() / n);
-  }
   detail::record(pattern, static_cast<int>(R), static_cast<int>(R),
-                 src.bytes(), offproc, 0, timer.seconds());
+                 src.bytes(), detail::shift_offproc_bytes(src, axis, sh, true),
+                 0, timer.seconds());
 }
 
 /// Returns cshift(src, axis, s) as a library temporary.
@@ -248,17 +240,8 @@ class [[nodiscard]] ShiftHandle {
     if (split) net_.complete();
     const std::uint64_t f1 = trace::now_ns();
 
-    const index_t n = src_->extent(axis_);
-    const int p = Machine::instance().vps();
-    index_t offproc = 0;
-    const int procs_here = src_->layout().procs_on_axis(axis_, p);
-    if (procs_here > 1 && sh_ != 0) {
-      const index_t sh = sh_;
-      const index_t moved = detail::moved_slots(
-          n, [sh, n](index_t j) { return (j + sh) % n; }, src_->layout().dist(),
-          procs_here);
-      offproc = moved * (src_->bytes() / n);
-    }
+    const index_t offproc =
+        detail::shift_offproc_bytes(*src_, axis_, sh_, true);
     if (split) {
       if (trace::enabled(trace::Mode::Summary)) {
         trace::overlap_span(static_cast<std::uint8_t>(pattern_),
@@ -380,20 +363,9 @@ void eoshift_into(Array<T, R>& dst, const Array<T, R>& src, std::size_t axis,
     });
   }
 
-  index_t offproc = 0;
-  const int procs_here = src.layout().procs_on_axis(axis, p);
-  if (procs_here > 1 && s != 0) {
-    const index_t moved = detail::moved_slots(
-        n,
-        [&](index_t j) {
-          const index_t jj = j + s;
-          return (jj >= 0 && jj < n) ? jj : j;  // boundary fills are local
-        },
-        src.layout().dist(), procs_here);
-    offproc = moved * (src.bytes() / n);
-  }
   detail::record(CommPattern::EOShift, static_cast<int>(R),
-                 static_cast<int>(R), src.bytes(), offproc, 0,
+                 static_cast<int>(R), src.bytes(),
+                 detail::shift_offproc_bytes(src, axis, s, false), 0,
                  timer.seconds());
 }
 
@@ -449,14 +421,8 @@ class [[nodiscard]] ShiftBundle {
     it.pattern = pattern;
     it.rank = static_cast<int>(R);
     it.bytes = src.bytes();
+    it.offproc = detail::shift_offproc_bytes(src, axis, sh, true);
     const int p = Machine::instance().vps();
-    const int procs_here = src.layout().procs_on_axis(axis, p);
-    if (procs_here > 1 && sh != 0) {
-      const index_t moved = detail::moved_slots(
-          n, [sh, n](index_t j) { return (j + sh) % n; }, src.layout().dist(),
-          procs_here);
-      it.offproc = moved * (src.bytes() / n);
-    }
     T* dp = dst.data().data();
     const T* sp = src.data().data();
     // The first member's (pattern, bytes) decides the bundle's mode: every
@@ -493,18 +459,8 @@ class [[nodiscard]] ShiftBundle {
     it.pattern = CommPattern::EOShift;
     it.rank = static_cast<int>(R);
     it.bytes = src.bytes();
+    it.offproc = detail::shift_offproc_bytes(src, axis, s, false);
     const int p = Machine::instance().vps();
-    const int procs_here = src.layout().procs_on_axis(axis, p);
-    if (procs_here > 1 && s != 0) {
-      const index_t moved = detail::moved_slots(
-          n,
-          [s, n](index_t j) {
-            const index_t jj = j + s;
-            return (jj >= 0 && jj < n) ? jj : j;  // boundary fills are local
-          },
-          src.layout().dist(), procs_here);
-      it.offproc = moved * (src.bytes() / n);
-    }
     T* dp = dst.data().data();
     const T* sp = src.data().data();
     decide_mode(CommPattern::EOShift, src.bytes());

@@ -12,6 +12,7 @@
 #include "core/array.hpp"
 #include "core/comm_log.hpp"
 #include "core/machine.hpp"
+#include "core/memo.hpp"
 #include "net/collectives.hpp"
 #include "net/net.hpp"
 
@@ -37,13 +38,11 @@ class OpTimer {
   std::chrono::steady_clock::time_point t0_;
 };
 
-/// FNV-1a key accumulator for the off-processor-byte memo caches below.
+/// FNV-1a key accumulator for the engine's memos (core/memo.hpp): the
+/// exchange-plan memo and the off-processor byte memos below.
 struct KeyHash {
-  std::uint64_t h = 1469598103934665603ull;
-  void mix(std::uint64_t v) {
-    h ^= v;
-    h *= 1099511628211ull;
-  }
+  std::uint64_t h = kFnvBasis;
+  void mix(std::uint64_t v) { h = fnv_mix(h, v); }
   /// Folds in everything ownership classification of `a` depends on: rank,
   /// per-axis extents, per-axis processor counts under p VPs, and the
   /// distribution kind. Two arrays with equal folds place every linear
@@ -59,29 +58,12 @@ struct KeyHash {
   }
 };
 
-/// Direct-mapped thread-local memo for off-processor byte scans. The scans
-/// are pure functions of the arrays' ownership structure (plus, for
+/// Memo of off-processor byte scans, one per call site and thread. The
+/// scans are pure functions of the arrays' ownership structure (plus, for
 /// irregular maps, the map contents), and the suite's apps re-issue the
 /// same operation shape every iteration — so each scan runs once per shape
 /// instead of once per call. Record-side only (control thread).
-struct OffprocCache {
-  struct Entry {
-    std::uint64_t key = 0;
-    index_t value = -1;
-  };
-  static constexpr std::size_t kSlots = 16;
-  std::array<Entry, kSlots> slots{};
-
-  [[nodiscard]] bool get(std::uint64_t k, index_t& out) const {
-    const Entry& e = slots[k % kSlots];
-    if (e.value >= 0 && e.key == k) {
-      out = e.value;
-      return true;
-    }
-    return false;
-  }
-  void put(std::uint64_t k, index_t v) { slots[k % kSlots] = {k, v}; }
-};
+using OffprocMemo = LruMemo<index_t, 16>;
 
 /// True when two arrays share one backing store (full aliasing — the
 /// in-place case the payload-once accounting rule covers).
@@ -104,6 +86,43 @@ template <typename PermFn>
     if (owner_of(n, p, j, d) != owner_of(n, p, k, d)) ++moved;
   }
   return moved;
+}
+
+/// Off-processor bytes of a shift of `src` by `s` along `axis`: the axis
+/// positions whose source lies on another processor, times the bytes per
+/// axis position. `circular` selects CSHIFT (r(j) = a((j + s) mod n)) or
+/// EOSHIFT (r(j) = a(j + s), boundary fills local) semantics; a circular
+/// `s` must already be reduced to [0, n). The position count depends only
+/// on (extent, s, distribution, processors on the axis, circular), so it
+/// is memoized on exactly those.
+template <typename T, std::size_t R>
+[[nodiscard]] index_t shift_offproc_bytes(const Array<T, R>& src,
+                                          std::size_t axis, index_t s,
+                                          bool circular) {
+  const index_t n = src.extent(axis);
+  const int procs = src.layout().procs_on_axis(axis, Machine::instance().vps());
+  if (procs <= 1 || s == 0 || n == 0) return 0;
+  const Dist d = src.layout().dist();
+  KeyHash key;
+  key.mix(circular ? 1 : 0);
+  key.mix(static_cast<std::uint64_t>(n));
+  key.mix(static_cast<std::uint64_t>(s));
+  key.mix(static_cast<std::uint64_t>(static_cast<int>(d)));
+  key.mix(static_cast<std::uint64_t>(procs));
+  static thread_local OffprocMemo memo;
+  const index_t moved = memo.get(key.h, [&] {
+    if (circular) {
+      return moved_slots(n, [&](index_t j) { return (j + s) % n; }, d, procs);
+    }
+    return moved_slots(
+        n,
+        [&](index_t j) {
+          const index_t jj = j + s;
+          return (jj >= 0 && jj < n) ? jj : j;  // boundary fills are local
+        },
+        d, procs);
+  });
+  return moved * (src.bytes() / n);
 }
 
 /// Encoded owner id of the element at `coord` of array `a`, combining the

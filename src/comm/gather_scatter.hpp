@@ -51,16 +51,16 @@ template <typename TD, typename TS, std::size_t RD, std::size_t RS>
   for (index_t i = 0; i < map.size(); ++i) {
     key.mix(static_cast<std::uint64_t>(map[i]));
   }
-  static thread_local detail::OffprocCache cache;
-  index_t off = 0;
-  if (cache.get(key.h, off)) return off;
-  for (index_t i = 0; i < map.size(); ++i) {
-    const int od = owner_of_linear(dst, map_indexes_src ? i : map[i]);
-    const int os = owner_of_linear(src, map_indexes_src ? map[i] : i);
-    if (od != os) off += static_cast<index_t>(sizeof(TS));
-  }
-  cache.put(key.h, off);
-  return off;
+  static thread_local detail::OffprocMemo memo;
+  return memo.get(key.h, [&] {
+    index_t off = 0;
+    for (index_t i = 0; i < map.size(); ++i) {
+      const int od = owner_of_linear(dst, map_indexes_src ? i : map[i]);
+      const int os = owner_of_linear(src, map_indexes_src ? map[i] : i);
+      if (od != os) off += static_cast<index_t>(sizeof(TS));
+    }
+    return off;
+  });
 }
 
 }  // namespace gs_detail

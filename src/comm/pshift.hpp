@@ -80,20 +80,12 @@ template <typename T, std::size_t R>
   // sweep ran once).
   const double per_shift_seconds =
       k > 0 ? timer.seconds() / static_cast<double>(k) : 0.0;
-  const int pvp = Machine::instance().vps();
   for (std::size_t s = 0; s < k; ++s) {
-    index_t offproc = 0;
-    const int g = src.layout().procs_on_axis(shifts[s].axis, pvp);
-    if (g > 1 && norm[s] != 0) {
-      const index_t n = ext[shifts[s].axis];
-      const index_t o = norm[s];
-      const index_t moved = detail::moved_slots(
-          n, [&](index_t j) { return (j + o) % n; }, src.layout().dist(), g);
-      offproc = moved * (src.bytes() / n);
-    }
-    detail::record(CommPattern::CShift, static_cast<int>(R),
-                   static_cast<int>(R), src.bytes(), offproc, /*detail=*/1,
-                   per_shift_seconds);
+    detail::record(
+        CommPattern::CShift, static_cast<int>(R), static_cast<int>(R),
+        src.bytes(),
+        detail::shift_offproc_bytes(src, shifts[s].axis, norm[s], true),
+        /*detail=*/1, per_shift_seconds);
   }
   return out;
 }

@@ -53,10 +53,10 @@ template <typename T>
   key.mix(static_cast<std::uint64_t>(p));
   key.mix_owner_structure(src, p);
   key.mix_owner_structure(dst, p);
-  static thread_local detail::OffprocCache cache;
-  index_t offproc = 0;
-  if (!cache.get(key.h, offproc)) {
+  static thread_local detail::OffprocMemo memo;
+  return memo.get(key.h, [&] {
     const index_t eb = static_cast<index_t>(sizeof(T));
+    index_t offproc = 0;
     for (index_t j = 0; j < n; ++j) {
       for (index_t i = 0; i < m; ++i) {
         const int os = detail::owner_id(src, {j, i});
@@ -64,9 +64,8 @@ template <typename T>
         if (os != od) offproc += eb;
       }
     }
-    cache.put(key.h, offproc);
-  }
-  return offproc;
+    return offproc;
+  });
 }
 
 /// Direct shared-memory path: cache-blocked tile transpose, parallel over

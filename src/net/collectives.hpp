@@ -63,7 +63,8 @@ class EngineRecord {
       : pattern_(pattern),
         src_rank_(src_rank),
         dst_rank_(dst_rank),
-        bytes0_(transport().stats().bytes),
+        // A nested record logs nothing, so it skips the stats() sum.
+        bytes0_(scope_.outermost() ? transport().stats().bytes : 0),
         t0_(std::chrono::steady_clock::now()) {}
 
   EngineRecord(const EngineRecord&) = delete;

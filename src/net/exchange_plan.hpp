@@ -36,7 +36,6 @@
 /// SPMD region each — a halo bundle of k shifts costs 3 regions instead of
 /// 3k.
 
-#include <array>
 #include <cassert>
 #include <cstdint>
 #include <memory>
@@ -44,6 +43,7 @@
 #include <vector>
 
 #include "core/machine.hpp"
+#include "core/memo.hpp"
 #include "core/types.hpp"
 #include "net/collectives.hpp"
 #include "net/net.hpp"
@@ -53,7 +53,7 @@
 namespace dpf::net {
 
 /// One immutable routing table for dst[i] = src[map(i)] over destination
-/// indices [lo, hi). Shareable across calls (and cached — see PlanCache);
+/// indices [lo, hi). Shareable across calls (and cached — see PlanMemo);
 /// never mutated after build.
 struct ExchangePlan {
   int p = 1;
@@ -141,53 +141,34 @@ template <typename MapFn, typename OwnerDst, typename OwnerSrc>
   return plan;
 }
 
-/// Direct-mapped control-thread memo for exchange plans. Keys are FNV-1a
-/// folds of everything the routing depends on (shape extents, strides,
-/// shift amounts, layouts, p, destination range); entries additionally
-/// sanity-check (p, lo, hi) on hit. The suite's apps re-issue the same
-/// exchange shape every iteration, so each plan builds once.
-class PlanCache {
- public:
-  [[nodiscard]] std::shared_ptr<const ExchangePlan> get(std::uint64_t k,
-                                                        int p, index_t lo,
-                                                        index_t hi) {
-    const Entry& e = slots_[k % kSlots];
-    if (e.plan && e.key == k && e.plan->p == p && e.plan->lo == lo &&
-        e.plan->hi == hi) {
-      return e.plan;
-    }
-    return nullptr;
-  }
-  void put(std::uint64_t k, std::shared_ptr<const ExchangePlan> v) {
-    slots_[k % kSlots] = {k, std::move(v)};
-  }
-  static PlanCache& instance() {
-    static thread_local PlanCache c;
-    return c;
-  }
+/// Control-thread memo of exchange plans (core/memo.hpp): fully
+/// associative under exact keys, 64 plans, least recently used evicted
+/// first. The suite's apps re-issue the same exchange shapes every
+/// iteration, so each plan builds once while its shapes stay in use.
+using PlanMemo = LruMemo<std::shared_ptr<const ExchangePlan>, 64>;
 
- private:
-  struct Entry {
-    std::uint64_t key = 0;
-    std::shared_ptr<const ExchangePlan> plan;
-  };
-  static constexpr std::size_t kSlots = 64;
-  std::array<Entry, kSlots> slots_{};
-};
+/// This thread's plan memo; its stats() count plan builds and reuses.
+[[nodiscard]] inline PlanMemo& plan_memo() {
+  static thread_local PlanMemo memo;
+  return memo;
+}
 
 /// Cached plan lookup: returns the memoized plan for `key` or builds (and
-/// caches) it from the functors. Control thread only.
+/// caches) it from the functors. `key` must fold everything the routing
+/// depends on (shape extents, strides, shift amounts, layouts); the plan's
+/// own (p, lo, hi) are folded in here, so a hit is always the plan this
+/// call would build. Control thread only.
 template <typename MapFn, typename OwnerDst, typename OwnerSrc>
 [[nodiscard]] std::shared_ptr<const ExchangePlan> plan_for(
     std::uint64_t key, index_t lo, index_t hi, int p,
     const MapFn& src_index_of, const OwnerDst& owner_dst,
     const OwnerSrc& owner_src) {
-  PlanCache& cache = PlanCache::instance();
-  if (auto plan = cache.get(key, p, lo, hi)) return plan;
-  auto plan = build_exchange_plan(lo, hi, p, src_index_of, owner_dst,
-                                  owner_src);
-  cache.put(key, plan);
-  return plan;
+  key = fnv_mix(key, static_cast<std::uint64_t>(p));
+  key = fnv_mix(key, static_cast<std::uint64_t>(lo));
+  key = fnv_mix(key, static_cast<std::uint64_t>(hi));
+  return plan_memo().get(key, [&] {
+    return build_exchange_plan(lo, hi, p, src_index_of, owner_dst, owner_src);
+  });
 }
 
 /// One planned exchange to execute: destination/source stores, the routing
@@ -216,7 +197,8 @@ std::uint64_t planned_post(const PlanOp<T>* ops, std::size_t k) {
     total += ops[c].plan->posted_bytes(sizeof(T));
   }
   m.spmd([&](int s) {
-    std::vector<T> buf;
+    // Per-thread staging, kept across calls: no allocation once warm.
+    static thread_local std::vector<T> buf;
     for (std::size_t c = 0; c < k; ++c) {
       const PlanOp<T>& op = ops[c];
       const ExchangePlan& pl = *op.plan;
@@ -271,7 +253,7 @@ void planned_consume(const PlanOp<T>* ops, std::size_t k, bool include_local) {
   Machine& m = Machine::instance();
   Transport& t = transport();
   m.spmd([&](int d) {
-    std::vector<T> q;
+    static thread_local std::vector<T> q;  // per-thread staging, kept
     for (std::size_t c = 0; c < k; ++c) {
       const PlanOp<T>& op = ops[c];
       const ExchangePlan& pl = *op.plan;

@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <cstring>
+#include <utility>
 
 #include "core/machine.hpp"
 #include "trace/trace.hpp"
@@ -13,7 +14,6 @@ void LocalTransport::resize(int endpoints) {
   p_ = endpoints;
   boxes_.assign(
       static_cast<std::size_t>(p_) * static_cast<std::size_t>(p_), Mailbox{});
-  pending_.store(0, std::memory_order_relaxed);
 }
 
 void LocalTransport::post(int src, int dst, std::uint64_t tag,
@@ -23,15 +23,17 @@ void LocalTransport::post(int src, int dst, std::uint64_t tag,
   const std::uint64_t t0 = tracing ? trace::now_ns() : 0;
   const std::uint64_t epoch = Machine::instance().region_serial();
   Mailbox& mb = box(src, dst);
-  Slot s;
+  Slot& s = mb.slots.emplace_back();
   s.tag = tag;
   s.epoch = epoch;
+  if (!mb.spare.empty()) {
+    s.payload = std::move(mb.spare.back());
+    mb.spare.pop_back();
+  }
   s.payload.resize(bytes);
   if (bytes > 0) std::memcpy(s.payload.data(), data, bytes);
-  mb.slots.push_back(std::move(s));
-  messages_.fetch_add(1, std::memory_order_relaxed);
-  bytes_.fetch_add(bytes, std::memory_order_relaxed);
-  pending_.fetch_add(1, std::memory_order_relaxed);
+  ++mb.posted.messages;
+  mb.posted.bytes += bytes;
   if (tracing) {
     trace::transport_span(true, src, dst, bytes, t0, trace::now_ns(), epoch);
   }
@@ -44,15 +46,16 @@ bool LocalTransport::try_fetch(int dst, int src, std::uint64_t tag, void* data,
   const std::uint64_t t0 = tracing ? trace::now_ns() : 0;
   Mailbox& mb = box(src, dst);
   for (std::size_t i = 0; i < mb.slots.size(); ++i) {
-    if (mb.slots[i].tag != tag) continue;
+    Slot& s = mb.slots[i];
+    if (s.tag != tag) continue;
     // Phase discipline: the posting region must have ended before the
     // fetching region started (see transport.hpp).
-    assert(mb.slots[i].epoch != Machine::instance().region_serial() ||
+    assert(s.epoch != Machine::instance().region_serial() ||
            !Machine::instance().inside_region());
-    assert(mb.slots[i].payload.size() == bytes);
-    if (bytes > 0) std::memcpy(data, mb.slots[i].payload.data(), bytes);
+    assert(s.payload.size() == bytes);
+    if (bytes > 0) std::memcpy(data, s.payload.data(), bytes);
+    mb.spare.push_back(std::move(s.payload));
     mb.slots.erase(mb.slots.begin() + static_cast<std::ptrdiff_t>(i));
-    pending_.fetch_sub(1, std::memory_order_relaxed);
     if (tracing) {
       trace::transport_span(false, src, dst, bytes, t0, trace::now_ns(),
                             Machine::instance().region_serial());
@@ -65,20 +68,34 @@ bool LocalTransport::try_fetch(int dst, int src, std::uint64_t tag, void* data,
 std::ptrdiff_t LocalTransport::probe(int dst, int src,
                                      std::uint64_t tag) const {
   assert(src >= 0 && src < p_ && dst >= 0 && dst < p_);
-  const Mailbox& mb =
-      boxes_[static_cast<std::size_t>(dst) * static_cast<std::size_t>(p_) +
-             static_cast<std::size_t>(src)];
+  const Mailbox& mb = box(src, dst);
   for (const Slot& s : mb.slots) {
     if (s.tag == tag) return static_cast<std::ptrdiff_t>(s.payload.size());
   }
   return -1;
 }
 
+std::uint64_t LocalTransport::pending() const {
+  std::uint64_t n = 0;
+  for (const Mailbox& mb : boxes_) n += mb.slots.size();
+  return n;
+}
+
+TransportStats LocalTransport::stats() const {
+  TransportStats total;
+  for (const Mailbox& mb : boxes_) {
+    total.messages += mb.posted.messages;
+    total.bytes += mb.posted.bytes;
+  }
+  return total;
+}
+
 void LocalTransport::reset() {
-  for (Mailbox& mb : boxes_) mb.slots.clear();
-  messages_.store(0, std::memory_order_relaxed);
-  bytes_.store(0, std::memory_order_relaxed);
-  pending_.store(0, std::memory_order_relaxed);
+  for (Mailbox& mb : boxes_) {
+    for (Slot& s : mb.slots) mb.spare.push_back(std::move(s.payload));
+    mb.slots.clear();
+    mb.posted = {};
+  }
 }
 
 }  // namespace dpf::net

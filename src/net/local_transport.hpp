@@ -8,10 +8,14 @@
 /// (VP dst, fetching) — never both, because the phase discipline forbids
 /// fetching a message in its posting region. Mailbox access is therefore
 /// lock-free: the happens-before edge between the posting and fetching
-/// regions is the machine's region barrier. Stats counters are atomics since
-/// all VPs post concurrently inside one region.
+/// regions is the machine's region barrier. The same edge covers the
+/// traffic counters, which live in each mailbox and are written only by its
+/// poster; stats() and pending() sum them on the control thread between
+/// regions.
+///
+/// Steady state allocates nothing: a fetched message's payload buffer goes
+/// back to its mailbox, and the mailbox's next post reuses it.
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -37,18 +41,13 @@ class LocalTransport final : public Transport {
   [[nodiscard]] std::ptrdiff_t probe(int dst, int src,
                                      std::uint64_t tag) const override;
 
-  [[nodiscard]] std::uint64_t pending() const override {
-    return pending_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::uint64_t pending() const override;
 
   void reset() override;
 
   [[nodiscard]] const char* name() const override { return "local"; }
 
-  [[nodiscard]] TransportStats stats() const override {
-    return {messages_.load(std::memory_order_relaxed),
-            bytes_.load(std::memory_order_relaxed)};
-  }
+  [[nodiscard]] TransportStats stats() const override;
 
  private:
   /// One posted message. `epoch` is the region serial at post time, used to
@@ -59,22 +58,27 @@ class LocalTransport final : public Transport {
     std::vector<std::byte> payload;
   };
 
-  /// Mailbox of one ordered (src -> dst) pair; slots are fetched FIFO per
-  /// tag. Kept cache-line padded so neighbouring pairs do not false-share.
+  /// Mailbox of one ordered (src -> dst) pair. `slots` are pending in post
+  /// order, and a fetch takes the first one with its tag, so one tag is
+  /// FIFO. `spare` holds fetched payload buffers for the next posts.
+  /// Cache-line aligned so neighbouring pairs do not false-share.
   struct alignas(64) Mailbox {
     std::vector<Slot> slots;
+    std::vector<std::vector<std::byte>> spare;
+    TransportStats posted;
   };
 
   [[nodiscard]] Mailbox& box(int src, int dst) {
     return boxes_[static_cast<std::size_t>(dst) * static_cast<std::size_t>(p_) +
                   static_cast<std::size_t>(src)];
   }
+  [[nodiscard]] const Mailbox& box(int src, int dst) const {
+    return boxes_[static_cast<std::size_t>(dst) * static_cast<std::size_t>(p_) +
+                  static_cast<std::size_t>(src)];
+  }
 
   int p_ = 0;
   std::vector<Mailbox> boxes_;
-  std::atomic<std::uint64_t> messages_{0};
-  std::atomic<std::uint64_t> bytes_{0};
-  std::atomic<std::uint64_t> pending_{0};
 };
 
 }  // namespace dpf::net

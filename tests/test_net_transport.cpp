@@ -12,6 +12,7 @@
 
 #include "comm/comm.hpp"
 #include "core/machine.hpp"
+#include "net/local_transport.hpp"
 #include "net/net.hpp"
 
 namespace dpf {
@@ -101,6 +102,126 @@ TEST_F(NetTransportTest, SameTagIsFifo) {
   });
   EXPECT_EQ(got1, first);
   EXPECT_EQ(got2, second);
+}
+
+// LocalTransport recycles fetched payload buffers into later posts of
+// other sizes; one tag still delivers first-posted first, each with its
+// own bytes.
+TEST_F(NetTransportTest, SameTagIsFifoWithRecycledBuffers) {
+  Machine& m = Machine::instance();
+  net::LocalTransport t(m.vps());
+  const std::uint64_t warm = net::next_tag();
+  const std::vector<int> big(33, -1);
+  m.spmd([&](int v) {
+    if (v == 0) t.post(0, 2, warm, big.data(), big.size() * sizeof(int));
+  });
+  std::vector<int> sink(big.size());
+  ASSERT_TRUE(t.try_fetch(2, 0, warm, sink.data(), sink.size() * sizeof(int)));
+
+  const std::uint64_t tag = net::next_tag();
+  const std::vector<std::vector<int>> sent = {{7}, {9, 10, 11, 12, 13}, {4, 5}};
+  m.spmd([&](int v) {
+    if (v != 0) return;
+    for (const auto& msg : sent) {
+      t.post(0, 2, tag, msg.data(), msg.size() * sizeof(int));
+    }
+  });
+  std::vector<std::vector<int>> got;
+  m.spmd([&](int v) {
+    if (v != 2) return;
+    for (const auto& msg : sent) {
+      std::vector<int> buf(msg.size(), 0);
+      if (t.try_fetch(2, 0, tag, buf.data(), buf.size() * sizeof(int))) {
+        got.push_back(buf);
+      }
+    }
+  });
+  EXPECT_EQ(got, sent);
+  EXPECT_EQ(t.pending(), 0u);
+}
+
+// stats() and pending() stay exact while buffers recycle: messages of
+// growing and shrinking sizes, fetched out of post order over two regions,
+// then a reset with messages queued, then traffic after the reset.
+TEST_F(NetTransportTest, StatsAndPendingExactWithRecycledBuffers) {
+  Machine& m = Machine::instance();
+  net::LocalTransport t(m.vps());
+  const int p = m.vps();
+  std::uint64_t messages = 0, bytes = 0;
+  const std::size_t sizes[] = {3, 40, 1, 17, 0, 64};
+  const auto value = [](int vp, int round, std::size_t i) {
+    return vp * 1000.0 + round * 100.0 + static_cast<double>(i);
+  };
+  for (int round = 0; round < 6; ++round) {
+    const std::size_t n0 = sizes[round];
+    const std::size_t n1 = n0 + static_cast<std::size_t>(round);
+    const std::uint64_t tag = net::next_tags(2);
+    m.spmd([&](int v) {
+      std::vector<double> a(n0), b(n1);
+      for (std::size_t i = 0; i < n0; ++i) a[i] = value(v, round, i);
+      for (std::size_t i = 0; i < n1; ++i) b[i] = -value(v, round, i);
+      const int d = (v + 1) % p;
+      t.post(v, d, tag, a.data(), a.size() * sizeof(double));
+      t.post(v, d, tag + 1, b.data(), b.size() * sizeof(double));
+    });
+    messages += 2u * static_cast<std::uint64_t>(p);
+    bytes += static_cast<std::uint64_t>(p) * (n0 + n1) * sizeof(double);
+    EXPECT_EQ(t.pending(), 2u * static_cast<std::uint64_t>(p));
+    EXPECT_EQ(t.stats().messages, messages);
+    EXPECT_EQ(t.stats().bytes, bytes);
+
+    // The second message first, the first one in the next region.
+    std::vector<int> bad(static_cast<std::size_t>(p), 0);
+    m.spmd([&](int d) {
+      const int s = (d + p - 1) % p;
+      std::vector<double> b(n1);
+      if (!t.try_fetch(d, s, tag + 1, b.data(), b.size() * sizeof(double))) {
+        bad[static_cast<std::size_t>(d)] += 1;
+      }
+      for (std::size_t i = 0; i < n1; ++i) {
+        if (b[i] != -value(s, round, i)) bad[static_cast<std::size_t>(d)] += 1;
+      }
+    });
+    EXPECT_EQ(t.pending(), static_cast<std::uint64_t>(p));
+    m.spmd([&](int d) {
+      const int s = (d + p - 1) % p;
+      std::vector<double> a(n0);
+      if (!t.try_fetch(d, s, tag, a.data(), a.size() * sizeof(double))) {
+        bad[static_cast<std::size_t>(d)] += 1;
+      }
+      for (std::size_t i = 0; i < n0; ++i) {
+        if (a[i] != value(s, round, i)) bad[static_cast<std::size_t>(d)] += 1;
+      }
+    });
+    EXPECT_EQ(bad, std::vector<int>(static_cast<std::size_t>(p), 0))
+        << "round " << round;
+    EXPECT_EQ(t.pending(), 0u);
+    EXPECT_EQ(t.stats().messages, messages) << "fetches do not count";
+    EXPECT_EQ(t.stats().bytes, bytes);
+  }
+
+  const std::uint64_t tag = net::next_tag();
+  const double x = 2.5;
+  m.spmd([&](int v) { t.post(v, (v + 1) % p, tag, &x, sizeof(x)); });
+  EXPECT_EQ(t.pending(), static_cast<std::uint64_t>(p));
+  t.reset();
+  EXPECT_EQ(t.pending(), 0u);
+  EXPECT_EQ(t.stats().messages, 0u);
+  EXPECT_EQ(t.stats().bytes, 0u);
+  double got = 0.0;
+  EXPECT_FALSE(t.try_fetch(1, 0, tag, &got, sizeof(got)))
+      << "reset drops queued messages";
+
+  const std::uint64_t after = net::next_tag();
+  m.spmd([&](int v) {
+    if (v == 0) t.post(0, 1, after, &x, sizeof(x));
+  });
+  EXPECT_EQ(t.pending(), 1u);
+  EXPECT_EQ(t.stats().messages, 1u);
+  EXPECT_EQ(t.stats().bytes, sizeof(x));
+  EXPECT_TRUE(t.try_fetch(1, 0, after, &got, sizeof(got)));
+  EXPECT_EQ(got, x);
+  EXPECT_EQ(t.pending(), 0u);
 }
 
 TEST_F(NetTransportTest, ProbeReportsPendingSize) {

@@ -1,0 +1,208 @@
+// Tests for the engine's exact-key memo (core/memo.hpp) and the memos built
+// on it: keys that agree modulo the capacity stay cached together, a cycle
+// of as many keys as the capacity rebuilds nothing on its second run,
+// eviction takes exactly the least recently used entry, an rp-shaped
+// overlapped stencil builds each of its six shift plans once, the shift
+// off-processor memo agrees with a fresh scan, and `dpfrun --report comm`
+// prints the plan counters.
+
+#include <gtest/gtest.h>
+
+#include <array>
+#include <cstdio>
+#include <cstdlib>
+#include <memory>
+#include <string>
+
+#include "comm/comm.hpp"
+#include "core/machine.hpp"
+#include "core/memo.hpp"
+#include "net/exchange_plan.hpp"
+
+namespace dpf {
+namespace {
+
+/// Looks `key` up through net::plan_for over a fixed 8-element, 4-VP
+/// routing; returns true when the lookup built a plan.
+bool plan_lookup_builds(std::uint64_t key) {
+  bool built = false;
+  const auto plan = net::plan_for(
+      key, 0, 8, 4,
+      [&built](index_t i) {
+        built = true;
+        return 7 - i;
+      },
+      [](index_t i) { return static_cast<int>(i / 2); },
+      [](index_t j) { return static_cast<int>(j / 2); });
+  EXPECT_EQ(plan->hi, 8);
+  return built;
+}
+
+TEST(PlanMemo, KeysEqualMod64BothStayCached) {
+  // Keys 64 apart agree in every bit a 64-slot `key % 64` table looks at,
+  // as rp's x+1 and x-1 plans did; an exact-key memo keeps both.
+  const std::uint64_t a = 0x5eed0000ull;
+  const std::uint64_t b = a + 64;
+  EXPECT_TRUE(plan_lookup_builds(a));
+  EXPECT_TRUE(plan_lookup_builds(b));
+  for (int round = 0; round < 3; ++round) {
+    EXPECT_FALSE(plan_lookup_builds(a)) << "round " << round;
+    EXPECT_FALSE(plan_lookup_builds(b)) << "round " << round;
+  }
+}
+
+TEST(PlanMemo, CycleOfCapacityKeysRunTwiceBuildsEachOnce) {
+  static_assert(net::PlanMemo::kCapacity == 64);
+  int builds = 0;
+  for (int round = 0; round < 2; ++round) {
+    for (std::uint64_t i = 0; i < net::PlanMemo::kCapacity; ++i) {
+      builds += plan_lookup_builds(0xc7c1e000ull + 64 * i) ? 1 : 0;
+    }
+  }
+  EXPECT_EQ(builds, 64);
+}
+
+TEST(PlanMemo, SixtyFifthKeyEvictsExactlyTheLeastRecentlyUsed) {
+  net::PlanMemo memo;
+  int builds = 0;
+  const auto make = [&builds] {
+    ++builds;
+    return std::make_shared<const net::ExchangePlan>();
+  };
+  for (std::uint64_t k = 0; k < 64; ++k) memo.get(k, make);
+  // Touching key 0 leaves key 1 the least recently used.
+  const auto plan0 = memo.get(0, make);
+  memo.get(64, make);
+  EXPECT_EQ(builds, 65);
+  EXPECT_EQ(memo.stats().evicted, 1u);
+  EXPECT_EQ(memo.size(), 64u);
+  // Every key but 1 is still cached: looking them all up builds nothing.
+  for (std::uint64_t k = 0; k <= 64; ++k) {
+    if (k != 1) memo.get(k, make);
+  }
+  EXPECT_EQ(builds, 65);
+  EXPECT_EQ(memo.get(0, make), plan0) << "a hit returns the stored value";
+  memo.get(1, make);
+  EXPECT_EQ(builds, 66) << "key 1 was the one evicted";
+  EXPECT_EQ(memo.stats().built, 66u);
+  EXPECT_EQ(memo.stats().reused, 66u);
+  EXPECT_EQ(memo.stats().evicted, 2u);
+}
+
+class PlanMemoMachineTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    vps_ = Machine::instance().vps();
+    unsetenv("DPF_NET");
+  }
+  void TearDown() override {
+    unsetenv("DPF_NET");
+    Machine::instance().configure(vps_);
+  }
+  int vps_ = 1;
+};
+
+TEST_F(PlanMemoMachineTest, RpShapedShiftBundleBuildsSixPlans) {
+  Machine::instance().configure(16);
+  Array3<double> p{Shape<3>(16, 16, 16)};
+  for (index_t i = 0; i < p.size(); ++i) p[i] = static_cast<double>(i);
+  std::array<Array3<double>, 6> f{
+      Array3<double>{p.shape()}, Array3<double>{p.shape()},
+      Array3<double>{p.shape()}, Array3<double>{p.shape()},
+      Array3<double>{p.shape()}, Array3<double>{p.shape()}};
+
+  setenv("DPF_NET", "overlap", 1);
+  net::plan_memo().clear();
+  const MemoStats before = net::plan_memo().stats();
+  constexpr int kIters = 10;
+  for (int it = 0; it < kIters; ++it) {
+    comm::ShiftBundle<double> bundle;
+    for (std::size_t ax = 0; ax < 3; ++ax) {
+      bundle.add_cshift(f[2 * ax], p, ax, +1);
+      bundle.add_cshift(f[2 * ax + 1], p, ax, -1);
+    }
+    bundle.start();
+    bundle.finish();
+  }
+  const MemoStats after = net::plan_memo().stats();
+  EXPECT_EQ(after.built - before.built, 6u);
+  EXPECT_EQ(after.reused - before.reused, 6u * (kIters - 1));
+  EXPECT_EQ(after.evicted - before.evicted, 0u);
+
+  unsetenv("DPF_NET");
+  for (std::size_t ax = 0; ax < 3; ++ax) {
+    for (const index_t s : {+1, -1}) {
+      const auto ref = comm::cshift(p, ax, s);
+      const auto& got = f[2 * ax + (s > 0 ? 0 : 1)];
+      for (index_t i = 0; i < p.size(); ++i) {
+        ASSERT_EQ(got[i], ref[i]) << "axis " << ax << " shift " << s;
+      }
+    }
+  }
+}
+
+TEST_F(PlanMemoMachineTest, ShiftOffprocMemoMatchesAFreshScan) {
+  Machine::instance().configure(4);
+  auto a = make_vector<double>(10);
+  const index_t n = a.extent(0);
+  const int procs = a.layout().procs_on_axis(0, 4);
+  const index_t slot = a.bytes() / n;
+  // Circular and end-off shifts share (extent, shift) keys but not their
+  // counts; two rounds make the second one all memo hits.
+  for (int round = 0; round < 2; ++round) {
+    for (index_t s = -12; s <= 12; ++s) {
+      const index_t sh = ((s % n) + n) % n;
+      const index_t circular = comm::detail::moved_slots(
+          n, [&](index_t j) { return (j + sh) % n; }, a.layout().dist(),
+          procs);
+      const index_t end_off = comm::detail::moved_slots(
+          n,
+          [&](index_t j) {
+            const index_t jj = j + s;
+            return (jj >= 0 && jj < n) ? jj : j;
+          },
+          a.layout().dist(), procs);
+      EXPECT_EQ(comm::detail::shift_offproc_bytes(a, 0, sh, true),
+                circular * slot)
+          << "cshift " << s;
+      EXPECT_EQ(comm::detail::shift_offproc_bytes(a, 0, s, false),
+                end_off * slot)
+          << "eoshift " << s;
+    }
+  }
+}
+
+TEST(PlanMemoCli, ReportCommPrintsPlanCountersOfTheRun) {
+  const char* dpfrun = std::getenv("DPF_DPFRUN_BIN");
+  if (dpfrun == nullptr || *dpfrun == '\0') {
+    GTEST_SKIP() << "DPF_DPFRUN_BIN not set (run under ctest)";
+  }
+  const std::string cmd = std::string("DPF_NET=overlap '") + dpfrun +
+                          "' run rp --vps=16 --report comm 2>&1";
+  FILE* out = ::popen(cmd.c_str(), "r");
+  ASSERT_NE(out, nullptr);
+  std::string plan_line;
+  char line[512];
+  while (std::fgets(line, sizeof line, out) != nullptr) {
+    if (std::string(line).find("exchange plans") != std::string::npos) {
+      plan_line = line;
+    }
+  }
+  ASSERT_EQ(::pclose(out), 0) << cmd;
+  ASSERT_FALSE(plan_line.empty()) << "no plan line in the comm report";
+  unsigned long long built = 0, reused = 0, evicted = 0;
+  ASSERT_EQ(std::sscanf(plan_line.c_str(),
+                        " exchange plans : %llu built, %llu reused, %llu "
+                        "evicted",
+                        &built, &reused, &evicted),
+            3)
+      << plan_line;
+  // rp's six face shifts build once each and are reused by every later
+  // stencil apply; nothing is evicted.
+  EXPECT_EQ(built, 6u) << plan_line;
+  EXPECT_GT(reused, 0u) << plan_line;
+  EXPECT_EQ(evicted, 0u) << plan_line;
+}
+
+}  // namespace
+}  // namespace dpf

@@ -28,11 +28,13 @@
 /// `list --long` adds each benchmark's category (comm/la/app), problem-size
 /// knobs and the default DPF_VPS. `--report comm` calibrates the fat-tree
 /// cost model before the run and prints a per-pattern table of counts,
-/// bytes, VP-crossing bytes and measured vs predicted communication time;
-/// `--report trace` enables the dpf::trace timeline and prints the
-/// per-worker busy/comm/idle summary. `--trace FILE.json` records a full
-/// timeline and exports Chrome trace-event JSON (open in Perfetto or
-/// chrome://tracing); `--trace FILE.csv` keeps the CommLog CSV dump.
+/// bytes, VP-crossing bytes and measured vs predicted communication time,
+/// plus one line of exchange-plan memo counters (built / reused / evicted
+/// during the run, calibration excluded); `--report trace` enables the
+/// dpf::trace timeline and prints the per-worker busy/comm/idle summary.
+/// `--trace FILE.json` records a full timeline and exports Chrome
+/// trace-event JSON (open in Perfetto or chrome://tracing);
+/// `--trace FILE.csv` keeps the CommLog CSV dump.
 /// Combine with DPF_NET=algorithmic to price the message-passing
 /// formulations, or DPF_NET=overlap for the split-phase variants — the
 /// comm report then adds the per-pattern `overlap s` column (time payload
@@ -67,6 +69,7 @@
 
 #include "core/machine.hpp"
 #include "core/registry.hpp"
+#include "net/exchange_plan.hpp"
 #include "net/net.hpp"
 #include "net/proc.hpp"
 #include "net/tune.hpp"
@@ -288,7 +291,10 @@ int cmd_run(const std::string& name, const std::vector<std::string>& args) {
 
   if (!trace_path.empty()) CommLog::instance().reset();
   if (chrome_trace || report_trace) trace::reset();
+  // Plan-memo counters over the run alone, not the calibration above.
+  const MemoStats plans0 = net::plan_memo().stats();
   const auto r = def->run_with_defaults(cfg);
+  const MemoStats plans1 = net::plan_memo().stats();
   // Flush the timeline once, before the peak-MFLOPS calibration below can
   // append its own regions to the rings. The shm backend's router-process
   // delivery timelines merge in as external tracks.
@@ -364,6 +370,12 @@ int cmd_run(const std::string& name, const std::vector<std::string>& args) {
     std::printf("  transport traffic      : %llu messages, %llu bytes\n",
                 static_cast<unsigned long long>(ts.messages),
                 static_cast<unsigned long long>(ts.bytes));
+    std::printf("  exchange plans         : %llu built, %llu reused, "
+                "%llu evicted\n",
+                static_cast<unsigned long long>(plans1.built - plans0.built),
+                static_cast<unsigned long long>(plans1.reused - plans0.reused),
+                static_cast<unsigned long long>(plans1.evicted -
+                                                plans0.evicted));
     if (net::ShmTransport::created() &&
         net::ShmTransport::instance().running()) {
       const auto& s = net::ShmTransport::instance();
