@@ -8,7 +8,9 @@
 ///
 /// Besides the human-readable table, the suite emits machine-readable
 /// results to BENCH_perf.json (override the path with DPF_BENCH_JSON or
-/// argv[1]) so the perf trajectory across PRs is diffable.
+/// argv[1]) so the perf trajectory across PRs is diffable. It exits 1 when
+/// it cannot write that file or the trace below, so a CI step never passes
+/// without its artifact.
 ///
 /// `--smoke` runs one representative benchmark per group — a fast CI
 /// smoke of the whole metric pipeline. `--only a,b,c` restricts the run to
@@ -66,12 +68,18 @@ void json_metrics(std::FILE* f, const dpf::Metrics& m) {
                static_cast<long long>(m.comm_op_count()));
 }
 
-void write_json(const std::string& path, int vps, double peak,
+void cannot_write(const std::string& path) {
+  std::fprintf(stderr, "perf_suite: cannot write %s\n", path.c_str());
+}
+
+/// Writes the results JSON; false (with a message) when the file cannot be
+/// written.
+bool write_json(const std::string& path, int vps, double peak,
                 const std::vector<Row>& rows) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (!f) {
-    std::fprintf(stderr, "perf_suite: cannot write %s\n", path.c_str());
-    return;
+    cannot_write(path);
+    return false;
   }
   std::fprintf(f,
                "{\n  \"schema_version\": 2,\n"
@@ -100,8 +108,12 @@ void write_json(const std::string& path, int vps, double peak,
     std::fprintf(f, "}%s\n", i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
+  if (std::fclose(f) != 0) {
+    cannot_write(path);
+    return false;
+  }
   std::printf("\nwrote %s\n", path.c_str());
+  return true;
 }
 
 }  // namespace
@@ -196,7 +208,7 @@ int main(int argc, char** argv) {
   std::string json_path = "BENCH_perf.json";
   if (const char* env = std::getenv("DPF_BENCH_JSON")) json_path = env;
   if (path_arg != nullptr) json_path = path_arg;
-  write_json(json_path, Machine::instance().vps(), peak, rows);
+  bool wrote = write_json(json_path, Machine::instance().vps(), peak, rows);
 
   // With tracing enabled, export the whole run's timeline and print the
   // per-worker summary so CI artifacts carry a loadable trace.
@@ -207,8 +219,11 @@ int main(int argc, char** argv) {
     if (const char* env = std::getenv("DPF_TRACE_JSON")) trace_path = env;
     if (trace::write_chrome_trace(trace_path, snap)) {
       std::printf("wrote %s (open in Perfetto)\n", trace_path.c_str());
+    } else {
+      cannot_write(trace_path);
+      wrote = false;
     }
     std::printf("\n%s", trace::format_trace_summary(snap).c_str());
   }
-  return 0;
+  return wrote ? 0 : 1;
 }

@@ -14,6 +14,7 @@
 #include "core/array.hpp"
 #include "core/machine.hpp"
 #include "core/ops.hpp"
+#include "net/exchange_plan.hpp"
 
 namespace dpf::comm {
 
@@ -54,23 +55,35 @@ void spread_into(Array<T, R>& dst, const Array<T, R - 1>& src,
   const index_t inner = st;
   const index_t outer = dst.size() / (n * inner);
   assert(src.size() == outer * inner);
+  // dst element L = (o*n + j)*inner + i replicates src element o*inner + i.
+  const auto source_of = [n, inner](index_t L) {
+    return (L / (n * inner)) * inner + L % inner;
+  };
+  const auto owner_dst = [&](index_t L) {
+    return detail::owner_id_linear(dst, L);
+  };
+  const auto owner_src = [&](index_t j) {
+    return detail::owner_id_linear(src, j);
+  };
 
+  // The routing and the off-processor count depend only on (n, inner) and
+  // both arrays' owner structures; they share one key.
   const int p = Machine::instance().vps();
+  detail::KeyHash key;
+  key.mix(0x5350u);  // pattern discriminator: spread
+  key.mix(static_cast<std::uint64_t>(n));
+  key.mix(static_cast<std::uint64_t>(inner));
+  key.mix(sizeof(T));
+  key.mix_owner_structure(dst, p);
+  key.mix_owner_structure(src, p);
   const net::ScopedMode tuned(
       net::mode_for(pattern, static_cast<std::uint64_t>(dst.bytes())));
   detail::OpTimer timer;
   if (net::algorithmic() && p > 1) {
-    // Personalized exchange: destination element L pulls its source element
-    // o*inner + i, moving each replica as one transport message element.
-    net::exchange(
-        dst.data().data(), dst.size(), src.data().data(),
-        [=](index_t L) {
-          const index_t o = L / (n * inner);
-          const index_t i = L % inner;
-          return o * inner + i;
-        },
-        [&](index_t L) { return detail::owner_id_linear(dst, L); },
-        [&](index_t j) { return detail::owner_id_linear(src, j); });
+    // Personalized exchange: every replica crosses as one message element.
+    const auto plan = net::plan_for(key.h, 0, dst.size(), p, source_of,
+                                    owner_dst, owner_src);
+    net::exchange_planned(dst.data().data(), src.data().data(), *plan);
   } else {
     parallel_range(outer * inner, [&](index_t lo, index_t hi) {
       for (index_t oi = lo; oi < hi; ++oi) {
@@ -83,11 +96,21 @@ void spread_into(Array<T, R>& dst, const Array<T, R - 1>& src,
     });
   }
 
-  // Replication along the distributed axis sends one copy of src to every
-  // VP that does not own it.
-  const index_t offproc = (dst.layout().distributed_axis() == axis && p > 1)
-                              ? src.bytes() * (p - 1) / p
-                              : 0;
+  // Off-processor bytes: the replicas whose owner differs from their
+  // source element's owner. The sweep runs once per shape.
+  index_t offproc = 0;
+  if (p > 1) {
+    static thread_local detail::OffprocMemo memo;
+    offproc = memo.get(key.h, [&] {
+      index_t off = 0;
+      for (index_t L = 0; L < dst.size(); ++L) {
+        if (owner_dst(L) != owner_src(source_of(L))) {
+          off += static_cast<index_t>(sizeof(T));
+        }
+      }
+      return off;
+    });
+  }
   detail::record(pattern, static_cast<int>(R - 1), static_cast<int>(R),
                  dst.bytes(), offproc, 0, timer.seconds());
 }

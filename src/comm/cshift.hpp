@@ -20,9 +20,7 @@
 /// across VPs keep full parallelism (a 1-D array is one big slab).
 
 #include <algorithm>
-#include <functional>
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "comm/detail.hpp"
@@ -30,6 +28,7 @@
 #include "core/machine.hpp"
 #include "core/ops.hpp"
 #include "net/exchange_plan.hpp"
+#include "trace/trace.hpp"
 
 namespace dpf::comm {
 
@@ -171,8 +170,8 @@ void cshift_into(Array<T, R>& dst, const Array<T, R>& src, std::size_t axis,
     // pushes them to the destination owner; local elements copy in place.
     // The routing is a cached plan, so iterative callers pay index gathers
     // only — no per-element functor evaluation.
-    net::exchange_planned(dp, sp, shift_detail::rotate_plan(dst, src, slab,
-                                                            rot));
+    net::exchange_planned(dp, sp,
+                          *shift_detail::rotate_plan(dst, src, slab, rot));
   } else {
     parallel_range(src.size(), [&](index_t lo, index_t hi) {
       shift_detail::rotate_range(dp, sp, slab, rot, lo, hi);
@@ -191,140 +190,6 @@ template <typename T, std::size_t R>
   Array<T, R> dst(src.shape(), src.layout(), MemKind::Temporary);
   cshift_into(dst, src, axis, s);
   return dst;
-}
-
-/// Split-phase circular shift — the double-buffered halo exchange. Under a
-/// message-passing DPF_NET mode, cshift_start posts the boundary messages
-/// and performs the locally-owned copies immediately; the remote halo
-/// elements of dst stay undefined until finish() consumes them. The caller
-/// computes between start and finish (interior work, other arrays) while
-/// the halo is in flight. Payloads are captured at start (the transport
-/// copies every message at post time and the local copies land before start
-/// returns), so the caller may overwrite src inside the window — the posted
-/// halos are immune to aliasing; only dst's halo stays unread until
-/// finish(). Under DPF_NET=direct the whole shift runs at start and
-/// finish() only closes the record — same contract, zero-length window.
-/// Results are bit-identical to cshift_into in every mode.
-template <typename T, std::size_t R>
-class [[nodiscard]] ShiftHandle {
- public:
-  ShiftHandle(ShiftHandle&& o) noexcept
-      : dst_(o.dst_),
-        src_(o.src_),
-        net_(std::move(o.net_)),
-        pattern_(o.pattern_),
-        axis_(o.axis_),
-        sh_(o.sh_),
-        mode_(o.mode_),
-        start_ns_(o.start_ns_),
-        post_end_ns_(o.post_end_ns_),
-        finished_(o.finished_) {
-    o.finished_ = true;  // moved-from shell owes no completion
-  }
-  ShiftHandle& operator=(ShiftHandle&&) = delete;
-  ShiftHandle(const ShiftHandle&) = delete;
-  ShiftHandle& operator=(const ShiftHandle&) = delete;
-  ~ShiftHandle() { assert(finished_); }
-
-  void finish() {
-    assert(!finished_);
-    if (src_->size() == 0 || src_->extent(axis_) == 0) {
-      finished_ = true;  // empty shift: nothing moved, nothing recorded
-      return;
-    }
-    // The completion phase (and its record/annotate) must see the mode the
-    // posting phase decided, not whatever the ambient DPF_NET says now.
-    const net::ScopedMode tuned(mode_);
-    const bool split = net_.pending();
-    const std::uint64_t f0 = trace::now_ns();
-    if (split) net_.complete();
-    const std::uint64_t f1 = trace::now_ns();
-
-    const index_t offproc =
-        detail::shift_offproc_bytes(*src_, axis_, sh_, true);
-    if (split) {
-      if (trace::enabled(trace::Mode::Summary)) {
-        trace::overlap_span(static_cast<std::uint8_t>(pattern_),
-                            net_.posted_bytes(), post_end_ns_, f0, 0);
-      }
-      detail::record_split(
-          pattern_, static_cast<int>(R), static_cast<int>(R), src_->bytes(),
-          offproc, 0,
-          static_cast<double>((post_end_ns_ - start_ns_) + (f1 - f0)) * 1e-9,
-          static_cast<double>(f0 - post_end_ns_) * 1e-9);
-    } else {
-      detail::record(pattern_, static_cast<int>(R), static_cast<int>(R),
-                     src_->bytes(), offproc, 0,
-                     static_cast<double>(post_end_ns_ - start_ns_) * 1e-9);
-    }
-    finished_ = true;
-  }
-
- private:
-  template <typename U, std::size_t RR>
-  friend ShiftHandle<U, RR> cshift_start(Array<U, RR>& dst,
-                                         const Array<U, RR>& src,
-                                         std::size_t axis, index_t s,
-                                         CommPattern pattern);
-
-  ShiftHandle() = default;
-
-  Array<T, R>* dst_ = nullptr;
-  const Array<T, R>* src_ = nullptr;
-  net::PlanHandle<T> net_;
-  CommPattern pattern_ = CommPattern::CShift;
-  std::size_t axis_ = 0;
-  index_t sh_ = 0;
-  net::Mode mode_ = net::Mode::Direct;  ///< mode decided at start
-  std::uint64_t start_ns_ = 0;
-  std::uint64_t post_end_ns_ = 0;
-  bool finished_ = false;
-};
-
-/// Starts a split-phase dst = cshift(src, axis, s); see ShiftHandle for the
-/// window contract. dst and src must outlive the handle and not alias.
-template <typename T, std::size_t R>
-[[nodiscard]] ShiftHandle<T, R> cshift_start(
-    Array<T, R>& dst, const Array<T, R>& src, std::size_t axis, index_t s,
-    CommPattern pattern = CommPattern::CShift) {
-  assert(dst.shape() == src.shape());
-  assert(axis < R);
-  assert(dst.data().data() != src.data().data());
-  ShiftHandle<T, R> h;
-  h.dst_ = &dst;
-  h.src_ = &src;
-  h.pattern_ = pattern;
-  h.axis_ = axis;
-  h.start_ns_ = trace::now_ns();
-  const index_t n = src.extent(axis);
-  if (n == 0 || src.size() == 0) {
-    h.post_end_ns_ = h.start_ns_;
-    return h;
-  }
-  const index_t st = src.shape().strides()[axis];
-  index_t sh = s % n;
-  if (sh < 0) sh += n;
-  h.sh_ = sh;
-  const index_t slab = n * st;
-  const index_t rot = sh * st;
-  const T* sp = src.data().data();
-  T* dp = dst.data().data();
-  const int p = Machine::instance().vps();
-  h.mode_ = net::mode_for(pattern, static_cast<std::uint64_t>(src.bytes()));
-  const net::ScopedMode tuned(h.mode_);
-  if (net::algorithmic() && p > 1) {
-    h.net_ = net::post_exchange_planned(
-        dp, sp, shift_detail::rotate_plan(dst, src, slab, rot));
-    // The locally-sourced elements copy now (a second region), so the
-    // in-flight window that follows covers only the remote halo.
-    h.net_.complete_local();
-  } else {
-    parallel_range(src.size(), [&](index_t lo, index_t hi) {
-      shift_detail::rotate_range(dp, sp, slab, rot, lo, hi);
-    });
-  }
-  h.post_end_ns_ = trace::now_ns();
-  return h;
 }
 
 /// dst = eoshift(src, axis, s, boundary): elements shifted past the end are
@@ -353,7 +218,7 @@ void eoshift_into(Array<T, R>& dst, const Array<T, R>& src, std::size_t axis,
     const index_t chi = std::max(copy_lo, copy_hi);
     net::exchange_planned(
         dp, sp,
-        shift_detail::eoshift_plan(dst, src, slab, s * st, copy_lo, chi),
+        *shift_detail::eoshift_plan(dst, src, slab, s * st, copy_lo, chi),
         boundary);
   } else {
     parallel_range(src.size(), [&](index_t lo, index_t hi) {
@@ -378,20 +243,24 @@ template <typename T, std::size_t R>
   return dst;
 }
 
-/// A bundle of split-phase shifts posted together — the halo exchange of a
-/// multi-point stencil as one operation. Where k separate cshift_start
-/// handles cost 3k SPMD regions (post, local, consume each), the bundle
-/// fuses each phase across all members: one posting region, one local
-/// region at start(), one consume region at finish(), regardless of k.
-/// Members may mix ranks and shift kinds (circular / end-off) over any
-/// arrays of one element type.
+/// Split-phase shifts posted together — the double-buffered halo exchange
+/// of a stencil as one operation. Under a message-passing DPF_NET mode,
+/// start() posts every member's boundary messages (one SPMD region) and
+/// performs the locally-sourced copies (one region); finish() consumes the
+/// remote halos (one region), however many members the bundle holds. The
+/// caller computes between start and finish (interior work, other arrays)
+/// while the halos are in flight. Members may mix ranks and shift kinds
+/// (circular / end-off) over any arrays of one element type.
 ///
-/// The window contract matches ShiftHandle: payloads are captured at
-/// start() (posted messages are copies; local elements land before start()
-/// returns), each member's remote halo elements stay undefined until
-/// finish(). Under DPF_NET=direct the shifts run whole at start(). Each
-/// member records its own CShift/EOShift event (detail = 1, the fused
-/// marker pshift uses), with the bundle's measured time divided evenly.
+/// Payloads are captured at start(): the transport copies every message at
+/// post time and the local copies land before start() returns, so the
+/// caller may overwrite src inside the window; each member's remote halo
+/// elements of dst stay undefined until finish(). Under DPF_NET=direct the
+/// shifts run whole at start() in one fused region and finish() only
+/// records. Results are bit-identical to cshift_into / eoshift_into in
+/// every mode. Each member records its own CShift/EOShift event with the
+/// bundle's measured time divided evenly; the events of a bundle of two
+/// or more carry the fused marker (detail = 1) that pshift uses.
 template <typename T>
 class [[nodiscard]] ShiftBundle {
  public:
@@ -417,28 +286,10 @@ class [[nodiscard]] ShiftBundle {
     if (sh < 0) sh += n;
     const index_t slab = n * st;
     const index_t rot = sh * st;
-    Item it;
-    it.pattern = pattern;
-    it.rank = static_cast<int>(R);
-    it.bytes = src.bytes();
-    it.offproc = detail::shift_offproc_bytes(src, axis, sh, true);
-    const int p = Machine::instance().vps();
-    T* dp = dst.data().data();
-    const T* sp = src.data().data();
-    // The first member's (pattern, bytes) decides the bundle's mode: every
-    // member must take the same path so the phases fuse.
-    decide_mode(pattern, src.bytes());
-    const net::ScopedMode tuned(mode_);
-    if (net::algorithmic() && p > 1) {
-      it.plan = shift_detail::rotate_plan(dst, src, slab, rot);
-      it.op = net::PlanOp<T>{dp, sp, it.plan.get(), 0, T{}};
-    } else {
-      it.size = src.size();
-      it.direct_fn = [dp, sp, slab, rot](index_t lo, index_t hi) {
-        shift_detail::rotate_range(dp, sp, slab, rot, lo, hi);
-      };
-    }
-    items_.push_back(std::move(it));
+    push(pattern, src, detail::shift_offproc_bytes(src, axis, sh, true),
+         Sweep{dst.data().data(), src.data().data(), slab, rot, 0, slab, T{},
+               true},
+         [&] { return shift_detail::rotate_plan(dst, src, slab, rot); });
   }
 
   /// Adds dst = eoshift(src, axis, s, boundary).
@@ -455,30 +306,14 @@ class [[nodiscard]] ShiftBundle {
     const index_t copy_lo = std::max<index_t>(0, -s) * st;
     const index_t copy_hi =
         std::max(copy_lo, std::max<index_t>(0, std::min(n, n - s)) * st);
-    Item it;
-    it.pattern = CommPattern::EOShift;
-    it.rank = static_cast<int>(R);
-    it.bytes = src.bytes();
-    it.offproc = detail::shift_offproc_bytes(src, axis, s, false);
-    const int p = Machine::instance().vps();
-    T* dp = dst.data().data();
-    const T* sp = src.data().data();
-    decide_mode(CommPattern::EOShift, src.bytes());
-    const net::ScopedMode tuned(mode_);
-    if (net::algorithmic() && p > 1) {
-      it.plan = shift_detail::eoshift_plan(dst, src, slab, s * st, copy_lo,
-                                           copy_hi);
-      it.op = net::PlanOp<T>{dp, sp, it.plan.get(), 0, boundary};
-    } else {
-      const index_t shift_elems = s * st;
-      it.size = src.size();
-      it.direct_fn = [dp, sp, slab, shift_elems, copy_lo, copy_hi,
-                      boundary](index_t lo, index_t hi) {
-        shift_detail::eoshift_range(dp, sp, slab, shift_elems, copy_lo,
-                                    copy_hi, boundary, lo, hi);
-      };
-    }
-    items_.push_back(std::move(it));
+    push(CommPattern::EOShift, src,
+         detail::shift_offproc_bytes(src, axis, s, false),
+         Sweep{dst.data().data(), src.data().data(), slab, s * st, copy_lo,
+               copy_hi, boundary, false},
+         [&] {
+           return shift_detail::eoshift_plan(dst, src, slab, s * st, copy_lo,
+                                             copy_hi);
+         });
   }
 
   /// Posts every member's boundary messages (one region) and performs the
@@ -493,25 +328,19 @@ class [[nodiscard]] ShiftBundle {
       post_end_ns_ = start_ns_;
       return;
     }
-    if (!items_[0].direct_fn) {
-      split_ = true;
-      const int p = Machine::instance().vps();
-      std::vector<net::PlanOp<T>> ops;
-      ops.reserve(items_.size());
-      for (Item& it : items_) {
-        it.op.base = net::next_tags(static_cast<std::uint64_t>(p) *
-                                    static_cast<std::uint64_t>(p));
-        ops.push_back(it.op);
-      }
-      posted_bytes_ = net::planned_post(ops.data(), ops.size());
-      net::planned_local(ops.data(), ops.size());
+    Machine& m = Machine::instance();
+    const int p = m.vps();
+    if (engine_) {
+      const std::uint64_t pp = static_cast<std::uint64_t>(p) *
+                               static_cast<std::uint64_t>(p);
+      for (net::PlanOp<T>& op : ops_) op.base = net::next_tags(pp);
+      posted_bytes_ = net::planned_post(ops_.data(), ops_.size());
+      net::planned_local(ops_.data(), ops_.size());
     } else {
-      Machine& m = Machine::instance();
-      const int p = m.vps();
       m.spmd([&](int vp) {
         for (const Item& it : items_) {
           const Block b = block_of(it.size, p, vp);
-          if (b.size() > 0) it.direct_fn(b.begin, b.end);
+          if (b.size() > 0) it.sweep(b.begin, b.end);
         }
       });
     }
@@ -525,15 +354,11 @@ class [[nodiscard]] ShiftBundle {
     if (items_.empty()) return;
     const net::ScopedMode tuned(mode_);
     const std::uint64_t f0 = trace::now_ns();
-    if (split_) {
-      std::vector<net::PlanOp<T>> ops;
-      ops.reserve(items_.size());
-      for (const Item& it : items_) ops.push_back(it.op);
-      net::planned_consume(ops.data(), ops.size(), false);
-    }
+    if (engine_) net::planned_consume(ops_.data(), ops_.size(), false);
     const std::uint64_t f1 = trace::now_ns();
     const double k = static_cast<double>(items_.size());
-    if (split_) {
+    const index_t fused = items_.size() > 1 ? 1 : 0;
+    if (engine_) {
       if (trace::enabled(trace::Mode::Summary)) {
         trace::overlap_span(static_cast<std::uint8_t>(items_[0].pattern),
                             posted_bytes_, post_end_ns_, f0, 0);
@@ -545,47 +370,93 @@ class [[nodiscard]] ShiftBundle {
           static_cast<double>(f0 - post_end_ns_) * 1e-9 / k;
       for (const Item& it : items_) {
         detail::record_split(it.pattern, it.rank, it.rank, it.bytes,
-                             it.offproc, 1, seconds, window);
+                             it.offproc, fused, seconds, window);
       }
     } else {
       const double seconds =
           static_cast<double>(post_end_ns_ - start_ns_) * 1e-9 / k;
       for (const Item& it : items_) {
-        detail::record(it.pattern, it.rank, it.rank, it.bytes, it.offproc, 1,
-                       seconds);
+        detail::record(it.pattern, it.rank, it.rank, it.bytes, it.offproc,
+                       fused, seconds);
       }
     }
   }
 
  private:
-  /// Fixes the bundle's mode from the first member added; later members
-  /// scope under the same decision regardless of their own sizes.
-  void decide_mode(CommPattern pattern, index_t bytes) {
-    if (mode_decided_) return;
-    mode_ = net::mode_for(pattern, static_cast<std::uint64_t>(bytes));
-    mode_decided_ = true;
-  }
+  /// One member's direct-path copy of dst[lo, hi): a slab rotation
+  /// (circular) or an end-off shift with boundary fills.
+  struct Sweep {
+    T* dst;
+    const T* src;
+    index_t slab;
+    index_t shift;  ///< rotation (circular) or source offset (end-off)
+    index_t copy_lo;
+    index_t copy_hi;
+    T boundary;
+    bool circular;
 
-  struct Item {
-    net::PlanOp<T> op{};
-    std::shared_ptr<const net::ExchangePlan> plan;
-    std::function<void(index_t, index_t)> direct_fn;  // direct path sweep
-    index_t size = 0;
-    CommPattern pattern = CommPattern::CShift;
-    int rank = 0;
-    index_t bytes = 0;
-    index_t offproc = 0;
+    void operator()(index_t lo, index_t hi) const {
+      if (circular) {
+        shift_detail::rotate_range(dst, src, slab, shift, lo, hi);
+      } else {
+        shift_detail::eoshift_range(dst, src, slab, shift, copy_lo, copy_hi,
+                                    boundary, lo, hi);
+      }
+    }
   };
 
+  struct Item {
+    CommPattern pattern;
+    int rank;
+    index_t bytes;
+    index_t offproc;
+    index_t size;
+    Sweep sweep;
+    std::shared_ptr<const net::ExchangePlan> plan;  ///< engine path only
+  };
+
+  /// Appends a member. The first member's (pattern, bytes) decides the
+  /// bundle's mode: every member takes the same path so the phases fuse.
+  template <std::size_t R, typename PlanFn>
+  void push(CommPattern pattern, const Array<T, R>& src, index_t offproc,
+            const Sweep& sweep, PlanFn&& plan_of) {
+    if (items_.empty()) {
+      mode_ = net::mode_for(pattern, static_cast<std::uint64_t>(src.bytes()));
+      const net::ScopedMode tuned(mode_);
+      engine_ = net::algorithmic() && Machine::instance().vps() > 1;
+    }
+    items_.push_back(Item{pattern, static_cast<int>(R), src.bytes(), offproc,
+                          src.size(), sweep, nullptr});
+    if (engine_) {
+      items_.back().plan = plan_of();
+      ops_.push_back(net::PlanOp<T>{sweep.dst, sweep.src,
+                                    items_.back().plan.get(), 0,
+                                    sweep.boundary});
+    }
+  }
+
   std::vector<Item> items_;
+  std::vector<net::PlanOp<T>> ops_;  ///< engine path: one per member
   std::uint64_t posted_bytes_ = 0;
   std::uint64_t start_ns_ = 0;
   std::uint64_t post_end_ns_ = 0;
   net::Mode mode_ = net::Mode::Direct;  ///< decided by the first member
-  bool mode_decided_ = false;
+  bool engine_ = false;  ///< message-passing path (decided with mode_)
   bool started_ = false;
-  bool split_ = false;
   bool finished_ = false;
 };
+
+/// Starts a split-phase dst = cshift(src, axis, s): a started bundle of one
+/// shift, completed by its finish(). dst and src must outlive the bundle
+/// and not alias.
+template <typename T, std::size_t R>
+[[nodiscard]] ShiftBundle<T> cshift_start(
+    Array<T, R>& dst, const Array<T, R>& src, std::size_t axis, index_t s,
+    CommPattern pattern = CommPattern::CShift) {
+  ShiftBundle<T> bundle;
+  bundle.add_cshift(dst, src, axis, s, pattern);
+  bundle.start();
+  return bundle;
+}
 
 }  // namespace dpf::comm

@@ -6,28 +6,30 @@
 /// Index maps hold *linear* indices into the peer array, which lets one set
 /// of primitives serve every rank combination the paper's tables use
 /// ("1-D to 3-D Scatters", "3-D to 1-D Gather", ...). Ownership of a linear
-/// index is derived from its coordinate on the array's distributed axis.
+/// index is derived from its coordinate on the array's distributed axes.
 ///
 /// The same data motion is recorded under different pattern names in the
 /// paper depending on the language construct that expressed it (Gather vs
-/// Get, Scatter vs Send); callers select the recorded pattern.
+/// Get, Scatter vs Send); callers select the recorded pattern. Every
+/// variant runs on the one exchange engine (net/exchange_plan.hpp) under a
+/// message-passing DPF_NET mode: the gather side as a plain exchange, the
+/// scatter side (with or without a combiner) as a staged exchange followed
+/// by the serial ascending-j combine (gs_detail::combine_into).
+
+#include <memory>
+#include <vector>
 
 #include "comm/detail.hpp"
 #include "core/array.hpp"
 #include "core/flops.hpp"
 #include "core/machine.hpp"
 #include "core/ops.hpp"
+#include "net/exchange_plan.hpp"
+#include "trace/trace.hpp"
 
 namespace dpf::comm {
 
 namespace gs_detail {
-
-/// Owner VP of linear element i of array a (combined over every
-/// distributed axis — explicit grid or the outermost-axis fold).
-template <typename T, std::size_t R>
-[[nodiscard]] int owner_of_linear(const Array<T, R>& a, index_t i) {
-  return detail::owner_id_linear(a, i);
-}
 
 template <typename TD, typename TS, std::size_t RD, std::size_t RS>
 [[nodiscard]] index_t offproc_bytes(const Array<TD, RD>& dst,
@@ -55,12 +57,102 @@ template <typename TD, typename TS, std::size_t RD, std::size_t RS>
   return memo.get(key.h, [&] {
     index_t off = 0;
     for (index_t i = 0; i < map.size(); ++i) {
-      const int od = owner_of_linear(dst, map_indexes_src ? i : map[i]);
-      const int os = owner_of_linear(src, map_indexes_src ? map[i] : i);
+      const int od =
+          detail::owner_id_linear(dst, map_indexes_src ? i : map[i]);
+      const int os =
+          detail::owner_id_linear(src, map_indexes_src ? map[i] : i);
       if (od != os) off += static_cast<index_t>(sizeof(TS));
     }
     return off;
   });
+}
+
+/// The contributions of one combining exchange, staged: under a
+/// message-passing mode, src[j] travels to staging slot j on the VP that
+/// owns dst element map[j]. Empty (no plan) under DPF_NET=direct or on one
+/// VP, where the combine reads src itself. The map is data, not shape, so
+/// every exchange builds its own plan.
+template <typename T>
+struct Staged {
+  std::shared_ptr<const net::ExchangePlan> plan;
+  std::vector<T> slots;
+  std::uint64_t base = 0;  ///< first of the p*p message tags
+
+  [[nodiscard]] net::PlanOp<T> op(const T* src) {
+    return net::PlanOp<T>{slots.data(), src, plan.get(), base, T{}};
+  }
+};
+
+/// Posts the staged contributions of dst[map[j]] op= src[j] (one region)
+/// when the current mode is message-passing. The messages, tags and bytes
+/// are those of a push exchange scanning j ascending.
+template <typename T, std::size_t RD, std::size_t RS>
+[[nodiscard]] Staged<T> post_staged(const Array<T, RD>& dst,
+                                    const Array<T, RS>& src,
+                                    const Array<index_t, RS>& map) {
+  Staged<T> st;
+  const int p = Machine::instance().vps();
+  if (!net::algorithmic() || p <= 1) return st;
+  const index_t* mp = map.data().data();
+  st.plan = net::build_exchange_plan(
+      0, src.size(), p, [](index_t j) { return j; },
+      [&](index_t j) { return detail::owner_id_linear(dst, mp[j]); },
+      [&](index_t j) { return detail::owner_id_linear(src, j); });
+  st.slots.resize(static_cast<std::size_t>(src.size()));
+  st.base = net::next_tags(static_cast<std::uint64_t>(p) *
+                           static_cast<std::uint64_t>(p));
+  const net::PlanOp<T> op = st.op(src.data().data());
+  net::planned_post(&op, 1);
+  return st;
+}
+
+/// Lands the staged contributions — fetches the remote ones and copies the
+/// local ones, one region — then applies dst[map[j]] op= value in
+/// ascending j on the control thread, so collision winners (highest j) and
+/// floating-point association are those of the serial loop in every mode.
+/// With nothing staged the same loop runs on src.
+template <typename T, std::size_t RD, std::size_t RS>
+void apply_staged(Array<T, RD>& dst, const Array<T, RS>& src,
+                  const Array<index_t, RS>& map, bool add, Staged<T>& st) {
+  const T* vals = src.data().data();
+  if (st.plan) {
+    const net::PlanOp<T> op = st.op(vals);
+    net::planned_consume(&op, 1, /*include_local=*/true);
+    vals = st.slots.data();
+  }
+  T* d = dst.data().data();
+  const index_t* mp = map.data().data();
+  const index_t n = src.size();
+  if (add) {
+    for (index_t j = 0; j < n; ++j) {
+      assert(mp[j] >= 0 && mp[j] < dst.size());
+      d[mp[j]] += vals[j];
+    }
+  } else {
+    for (index_t j = 0; j < n; ++j) {
+      assert(mp[j] >= 0 && mp[j] < dst.size());
+      d[mp[j]] = vals[j];
+    }
+  }
+}
+
+/// The router's scatter side: dst[map[j]] = src[j] (`add == false`, the
+/// highest j wins a collision) or dst[map[j]] += src[j] (`add == true`, one
+/// FLOP per source element), recorded under `pattern`.
+template <typename T, std::size_t RD, std::size_t RS>
+void combine_into(Array<T, RD>& dst, const Array<T, RS>& src,
+                  const Array<index_t, RS>& map, bool add,
+                  CommPattern pattern) {
+  assert(map.size() == src.size());
+  const net::ScopedMode tuned(
+      net::mode_for(pattern, static_cast<std::uint64_t>(src.bytes())));
+  detail::OpTimer timer;
+  Staged<T> st = post_staged(dst, src, map);
+  apply_staged(dst, src, map, add, st);
+  if (add) flops::add(flops::Kind::AddSubMul, src.size());
+  detail::record(pattern, static_cast<int>(RS), static_cast<int>(RD),
+                 src.bytes(), offproc_bytes(src, dst, map, /*map_src=*/true),
+                 0, timer.seconds());
 }
 
 }  // namespace gs_detail
@@ -78,11 +170,11 @@ void gather_into(Array<T, RD>& dst, const Array<T, RS>& src,
   detail::OpTimer timer;
   if (net::algorithmic() && p > 1) {
     const index_t* mp = map.data().data();
-    net::exchange(
-        dst.data().data(), dst.size(), src.data().data(),
-        [=](index_t i) { return mp[i]; },
+    const auto plan = net::build_exchange_plan(
+        0, dst.size(), p, [mp](index_t i) { return mp[i]; },
         [&](index_t i) { return detail::owner_id_linear(dst, i); },
         [&](index_t j) { return detail::owner_id_linear(src, j); });
+    net::exchange_planned(dst.data().data(), src.data().data(), *plan);
   } else {
     parallel_range(dst.size(), [&](index_t lo, index_t hi) {
       for (index_t i = lo; i < hi; ++i) {
@@ -104,32 +196,7 @@ template <typename T, std::size_t RD, std::size_t RS>
 void gather_add_into(Array<T, RD>& dst, const Array<T, RS>& src,
                      const Array<index_t, RS>& map,
                      CommPattern pattern = CommPattern::GatherCombine) {
-  assert(map.size() == src.size());
-  const int p = Machine::instance().vps();
-  const net::ScopedMode tuned(
-      net::mode_for(pattern, static_cast<std::uint64_t>(src.bytes())));
-  detail::OpTimer timer;
-  if (net::algorithmic() && p > 1) {
-    // The receiver replays the global ascending-j order, so collisions
-    // accumulate exactly as the serial combine below.
-    net::exchange_combine(
-        dst.data().data(), src.data().data(), map.data().data(), src.size(),
-        [&](index_t i) { return detail::owner_id_linear(dst, i); },
-        [&](index_t j) { return detail::owner_id_linear(src, j); },
-        /*add=*/true);
-  } else {
-    // Serial combine on the control processor keeps collisions
-    // deterministic.
-    for (index_t j = 0; j < src.size(); ++j) {
-      assert(map[j] >= 0 && map[j] < dst.size());
-      dst[map[j]] += src[j];
-    }
-  }
-  flops::add(flops::Kind::AddSubMul, src.size());
-  detail::record(pattern, static_cast<int>(RS), static_cast<int>(RD),
-                 src.bytes(),
-                 gs_detail::offproc_bytes(src, dst, map, /*map_src=*/true), 0,
-                 timer.seconds());
+  gs_detail::combine_into(dst, src, map, /*add=*/true, pattern);
 }
 
 /// dst[map[j]] = src[j] (CMF "send overwrite"); on collisions the highest j
@@ -138,28 +205,7 @@ template <typename T, std::size_t RD, std::size_t RS>
 void scatter_into(Array<T, RD>& dst, const Array<T, RS>& src,
                   const Array<index_t, RS>& map,
                   CommPattern pattern = CommPattern::Scatter) {
-  assert(map.size() == src.size());
-  const int p = Machine::instance().vps();
-  const net::ScopedMode tuned(
-      net::mode_for(pattern, static_cast<std::uint64_t>(src.bytes())));
-  detail::OpTimer timer;
-  if (net::algorithmic() && p > 1) {
-    // Ascending-j replay on the receiver keeps "highest j wins" intact.
-    net::exchange_combine(
-        dst.data().data(), src.data().data(), map.data().data(), src.size(),
-        [&](index_t i) { return detail::owner_id_linear(dst, i); },
-        [&](index_t j) { return detail::owner_id_linear(src, j); },
-        /*add=*/false);
-  } else {
-    for (index_t j = 0; j < src.size(); ++j) {
-      assert(map[j] >= 0 && map[j] < dst.size());
-      dst[map[j]] = src[j];
-    }
-  }
-  detail::record(pattern, static_cast<int>(RS), static_cast<int>(RD),
-                 src.bytes(),
-                 gs_detail::offproc_bytes(src, dst, map, /*map_src=*/true), 0,
-                 timer.seconds());
+  gs_detail::combine_into(dst, src, map, /*add=*/false, pattern);
 }
 
 /// dst[map[j]] += src[j] (CMF "send with add"). One FLOP per source element.
@@ -167,28 +213,7 @@ template <typename T, std::size_t RD, std::size_t RS>
 void scatter_add_into(Array<T, RD>& dst, const Array<T, RS>& src,
                       const Array<index_t, RS>& map,
                       CommPattern pattern = CommPattern::ScatterCombine) {
-  assert(map.size() == src.size());
-  const int p = Machine::instance().vps();
-  const net::ScopedMode tuned(
-      net::mode_for(pattern, static_cast<std::uint64_t>(src.bytes())));
-  detail::OpTimer timer;
-  if (net::algorithmic() && p > 1) {
-    net::exchange_combine(
-        dst.data().data(), src.data().data(), map.data().data(), src.size(),
-        [&](index_t i) { return detail::owner_id_linear(dst, i); },
-        [&](index_t j) { return detail::owner_id_linear(src, j); },
-        /*add=*/true);
-  } else {
-    for (index_t j = 0; j < src.size(); ++j) {
-      assert(map[j] >= 0 && map[j] < dst.size());
-      dst[map[j]] += src[j];
-    }
-  }
-  flops::add(flops::Kind::AddSubMul, src.size());
-  detail::record(pattern, static_cast<int>(RS), static_cast<int>(RD),
-                 src.bytes(),
-                 gs_detail::offproc_bytes(src, dst, map, /*map_src=*/true), 0,
-                 timer.seconds());
+  gs_detail::combine_into(dst, src, map, /*add=*/true, pattern);
 }
 
 /// Convenience wrappers recording the Send/Get patterns the paper's tables
@@ -196,13 +221,13 @@ void scatter_add_into(Array<T, RD>& dst, const Array<T, RS>& src,
 template <typename T, std::size_t RD, std::size_t RS>
 void send_into(Array<T, RD>& dst, const Array<T, RS>& src,
                const Array<index_t, RS>& map) {
-  scatter_into(dst, src, map, CommPattern::Send);
+  gs_detail::combine_into(dst, src, map, /*add=*/false, CommPattern::Send);
 }
 
 template <typename T, std::size_t RD, std::size_t RS>
 void send_add_into(Array<T, RD>& dst, const Array<T, RS>& src,
                    const Array<index_t, RS>& map) {
-  scatter_add_into(dst, src, map, CommPattern::Send);
+  gs_detail::combine_into(dst, src, map, /*add=*/true, CommPattern::Send);
 }
 
 template <typename T, std::size_t RD, std::size_t RS>
@@ -211,7 +236,7 @@ void get_into(Array<T, RD>& dst, const Array<T, RS>& src,
   gather_into(dst, src, map, CommPattern::Get);
 }
 
-/// Split-phase scatter-add: posts the off-VP contributions immediately and
+/// Split-phase scatter-add: posts the staged contributions immediately and
 /// defers every write to dst — local adds included — to finish(). Between
 /// start and finish the caller may freely rewrite dst (the canonical use
 /// zeroes the accumulator while the contributions are in flight); src and
@@ -226,7 +251,7 @@ class [[nodiscard]] ScatterAddHandle {
         src_(o.src_),
         map_(o.map_),
         pattern_(o.pattern_),
-        net_(std::move(o.net_)),
+        staged_(std::move(o.staged_)),
         mode_(o.mode_),
         start_ns_(o.start_ns_),
         post_end_ns_(o.post_end_ns_),
@@ -242,33 +267,28 @@ class [[nodiscard]] ScatterAddHandle {
     assert(!finished_);
     // The completion phase records under the mode the start phase decided.
     const net::ScopedMode tuned(mode_);
+    const bool split = staged_.plan != nullptr;
     const std::uint64_t f0 = trace::now_ns();
-    if (net_.pending()) {
-      net_.complete();
-      const std::uint64_t f1 = trace::now_ns();
+    gs_detail::apply_staged(*dst_, *src_, *map_, /*add=*/true, staged_);
+    const std::uint64_t f1 = trace::now_ns();
+    const index_t offproc =
+        gs_detail::offproc_bytes(*src_, *dst_, *map_, /*map_src=*/true);
+    if (split) {
       const double phase_s =
           static_cast<double>((post_end_ns_ - start_ns_) + (f1 - f0)) * 1e-9;
       const double window_s = static_cast<double>(f0 - post_end_ns_) * 1e-9;
       if (trace::enabled(trace::Mode::Summary)) {
         trace::overlap_span(static_cast<std::uint8_t>(pattern_),
-                            net_.posted_bytes(), post_end_ns_, f0, 0);
+                            staged_.plan->posted_bytes(sizeof(T)),
+                            post_end_ns_, f0, 0);
       }
       detail::record_split(pattern_, static_cast<int>(RS),
-                           static_cast<int>(RD), src_->bytes(),
-                           gs_detail::offproc_bytes(*src_, *dst_, *map_,
-                                                    /*map_src=*/true),
-                           0, phase_s, window_s);
+                           static_cast<int>(RD), src_->bytes(), offproc, 0,
+                           phase_s, window_s);
     } else {
-      for (index_t j = 0; j < src_->size(); ++j) {
-        assert((*map_)[j] >= 0 && (*map_)[j] < dst_->size());
-        (*dst_)[(*map_)[j]] += (*src_)[j];
-      }
-      const std::uint64_t f1 = trace::now_ns();
       detail::record(pattern_, static_cast<int>(RS), static_cast<int>(RD),
-                     src_->bytes(),
-                     gs_detail::offproc_bytes(*src_, *dst_, *map_,
-                                              /*map_src=*/true),
-                     0, static_cast<double>(f1 - f0) * 1e-9);
+                     src_->bytes(), offproc, 0,
+                     static_cast<double>(f1 - f0) * 1e-9);
     }
     flops::add(flops::Kind::AddSubMul, src_->size());
     finished_ = true;
@@ -286,7 +306,7 @@ class [[nodiscard]] ScatterAddHandle {
   const Array<T, RS>* src_ = nullptr;
   const Array<index_t, RS>* map_ = nullptr;
   CommPattern pattern_ = CommPattern::ScatterCombine;
-  net::CombineHandle<T> net_;
+  gs_detail::Staged<T> staged_;
   net::Mode mode_ = net::Mode::Direct;  ///< mode decided at start
   std::uint64_t start_ns_ = 0;
   std::uint64_t post_end_ns_ = 0;
@@ -306,16 +326,9 @@ template <typename T, std::size_t RD, std::size_t RS>
   h.map_ = &map;
   h.pattern_ = pattern;
   h.start_ns_ = trace::now_ns();
-  const int p = Machine::instance().vps();
   h.mode_ = net::mode_for(pattern, static_cast<std::uint64_t>(src.bytes()));
   const net::ScopedMode tuned(h.mode_);
-  if (net::algorithmic() && p > 1) {
-    h.net_ = net::post_exchange_combine(
-        dst.data().data(), src.data().data(), map.data().data(), src.size(),
-        [&dst](index_t i) { return detail::owner_id_linear(dst, i); },
-        [&src](index_t j) { return detail::owner_id_linear(src, j); },
-        /*add=*/true);
-  }
+  h.staged_ = gs_detail::post_staged(dst, src, map);
   h.post_end_ns_ = trace::now_ns();
   return h;
 }

@@ -17,7 +17,7 @@
 /// DPF_NET=algorithmic (non-overlap) the exchange stays one-shot: a single
 /// planned post + consume. Results are bit-identical either way: blocks
 /// partition the destination indices, and within each (sender, receiver,
-/// block) message the pack and consume orders match the functor engine's.
+/// block) message the consume order is the pack order.
 
 #include <algorithm>
 #include <cstdint>

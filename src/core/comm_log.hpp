@@ -112,11 +112,11 @@ class CommLog {
  public:
   /// RAII marker for the dynamic extent of one recording primitive on the
   /// calling thread. When primitives nest — e.g. a DPF_NET=algorithmic
-  /// cshift realized through net::exchange, which is itself a recording
-  /// collective — only the *outermost* scope's event is kept: record()
-  /// drops events arriving at depth > 1, so payload bytes are attributed
-  /// to the pattern the program asked for, never double-counted against
-  /// the internal traffic that realized it.
+  /// cshift realized through net::exchange_planned, which is itself a
+  /// recording collective — only the *outermost* scope's event is kept:
+  /// record() drops events arriving at depth > 1, so payload bytes are
+  /// attributed to the pattern the program asked for, never double-counted
+  /// against the internal traffic that realized it.
   class RecordScope {
    public:
     RecordScope() noexcept { ++depth_ref(); }

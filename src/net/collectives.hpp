@@ -8,26 +8,15 @@
 /// a fetching region (the region boundary is the barrier that publishes the
 /// mailboxes). No region body ever blocks — with fewer workers than VPs a
 /// blocking receive would deadlock the chunked dispatcher — so each
-/// communication round costs two SPMD regions (three for the exchange under
-/// DPF_NET=overlap, which runs the local copies as a separate middle region
-/// between post and remote-consume; see split_phase.hpp).
+/// communication round costs two SPMD regions.
 ///
 /// Bit-identity with the direct shared-memory path is by construction:
-///
-///   * allgather_slots moves per-VP partial results (recursive doubling for
-///     power-of-two P, a ring otherwise); the caller combines them in the
-///     same ascending-VP order as the direct path, so floating-point
-///     reductions associate identically.
-///   * exchange is a personalized exchange (pairwise AAPC): both the sender
-///     scan and the receiver scan walk destination indices in ascending
-///     order, so each message is consumed in exactly the order it was
-///     packed, and every element is a bit-exact copy.
-///   * exchange_combine preserves the *global* source order j = 0..n-1 on
-///     the receiver, so collision resolution (last writer wins) and
-///     floating-point accumulation match the serial direct loop exactly.
-///
-/// Ownership classification is a caller-supplied functor, which keeps this
-/// layer independent of array layouts (dpf::comm passes its owner_id fold).
+/// allgather_slots moves per-VP partial results (recursive doubling for
+/// power-of-two P, a ring otherwise) and the caller combines them in the
+/// same ascending-VP order as the direct path, so floating-point reductions
+/// associate identically; bcast_value delivers bit-exact copies. The
+/// data-movement collectives run the personalized exchange of
+/// exchange_plan.hpp.
 
 #include <cassert>
 #include <chrono>
@@ -37,7 +26,6 @@
 #include "core/comm_log.hpp"
 #include "core/machine.hpp"
 #include "net/net.hpp"
-#include "net/split_phase.hpp"
 
 namespace dpf::net {
 
@@ -200,48 +188,6 @@ template <typename T>
     });
   }
   return vals;
-}
-
-/// Personalized exchange (pairwise AAPC): dst[i] = src[src_index_of(i)] for
-/// every destination index i, where a negative source index means the local
-/// boundary value. `owner_dst(i)` / `owner_src(j)` classify linear indices.
-/// dst must not alias src (in-place callers snapshot first).
-///
-/// Phase 1 (pack): VP s scans i ascending and packs the elements it owns
-/// that other VPs need, one message per destination VP. Phase 2 (unpack):
-/// VP d scans its own i ascending, consuming each sender's message in the
-/// exact order it was packed.
-template <typename T, typename MapFn, typename OwnerDst, typename OwnerSrc>
-void exchange(T* dst, index_t n_dst, const T* src, MapFn&& src_index_of,
-              OwnerDst&& owner_dst, OwnerSrc&& owner_src, T boundary = T{}) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  coll_detail::EngineRecord rec(CommPattern::AAPC, 1, 1);
-  auto h = post_exchange(dst, n_dst, src, std::forward<MapFn>(src_index_of),
-                         std::forward<OwnerDst>(owner_dst),
-                         std::forward<OwnerSrc>(owner_src), boundary);
-  // Overlap mode exercises the split-phase protocol even for a one-shot
-  // call: the local copies run as a separate middle region while the
-  // boundary messages sit in flight, and the completion region consumes
-  // remote payloads only.
-  if (overlap()) h.complete_local();
-  h.complete();
-}
-
-/// Push-based exchange with combining: dst[map[j]] (op)= src[j] for j
-/// ascending, where op is overwrite (`add == false`, last writer wins) or
-/// accumulation (`add == true`). The receiver walks the *global* source
-/// order, so collision order and floating-point association are identical
-/// to the serial direct loop.
-template <typename T, typename OwnerDst, typename OwnerSrc>
-void exchange_combine(T* dst, const T* src, const index_t* map, index_t n_src,
-                      OwnerDst&& owner_dst, OwnerSrc&& owner_src, bool add) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  coll_detail::EngineRecord rec(
-      add ? CommPattern::ScatterCombine : CommPattern::Scatter, 1, 1);
-  auto h = post_exchange_combine(dst, src, map, n_src,
-                                 std::forward<OwnerDst>(owner_dst),
-                                 std::forward<OwnerSrc>(owner_src), add);
-  h.complete();
 }
 
 }  // namespace dpf::net

@@ -12,6 +12,7 @@
 #include "core/layout.hpp"
 #include "core/machine.hpp"
 #include "net/collectives.hpp"
+#include "net/exchange_plan.hpp"
 #include "net/net.hpp"
 
 namespace dpf::net {
@@ -121,12 +122,14 @@ double probe_gamma() {
   return seconds_since(t0) / static_cast<double>(kElems);
 }
 
-/// Probe: end-to-end per-element cost of the message-passing exchange
-/// engine — a real net::exchange (pack scan, post, probe/fetch, unpack
-/// replay) over a VP-crossing permutation at the machine's current
-/// geometry. This is the dominant cost of every engine-routed collective
-/// and is two orders of magnitude above the bare ownership scan, so it
-/// gets its own constant instead of a gamma multiplier.
+/// Probe: per-element cost of the message-passing exchange engine — a real
+/// exchange_planned (post, local copies, probe/fetch, unpack) over a
+/// VP-crossing permutation at the machine's current geometry. This is the
+/// dominant cost of every engine-routed collective and two orders of
+/// magnitude above the bare ownership scan, so it gets its own constant
+/// instead of a gamma multiplier. The plan is built once, outside the
+/// timed repetitions and outside the plan memo: the shapes that repeat
+/// (shifts, transposes, spreads) run on cached plans.
 double probe_delta() {
   constexpr index_t kSide = 128;
   constexpr index_t kElems = kSide * kSide;
@@ -136,6 +139,16 @@ double probe_delta() {
   auto src = make_matrix<double>(kSide, kSide, MemKind::Temporary);
   auto dst = make_matrix<double>(kSide, kSide, MemKind::Temporary);
   for (index_t i = 0; i < kElems; ++i) src[i] = static_cast<double>(i);
+  // Matrix-transpose map over a real distributed array, classified by the
+  // same owner_id_linear the collectives use: every destination VP pulls
+  // column-strided elements from every source VP. This is the worst
+  // pattern the engine is asked to price, so the calibrated constant
+  // bounds the cheaper shift/gather maps from above.
+  const auto plan = build_exchange_plan(
+      0, kElems, Machine::instance().vps(),
+      [](index_t i) { return (i % kSide) * kSide + i / kSide; },
+      [&](index_t L) { return comm::detail::owner_id_linear(dst, L); },
+      [&](index_t J) { return comm::detail::owner_id_linear(src, J); });
   // Probe traffic is calibration, not payload: the scope makes the
   // exchange's own EngineRecord non-outermost so nothing reaches CommLog.
   CommLog::RecordScope suppress_probe;
@@ -143,17 +156,7 @@ double probe_delta() {
   constexpr int kReps = 3;
   for (int rep = 0; rep < kReps; ++rep) {
     const auto t0 = clock_t_::now();
-    // Matrix-transpose map over a real distributed array, classified by the
-    // same owner_id_linear the collectives use: every destination VP pulls
-    // column-strided elements from every source VP, and every element pays
-    // the coordinate-decode + layout-walk cost of the real pack and unpack
-    // scans. This is the worst pattern the engine is asked to price, so the
-    // calibrated constant bounds the cheaper shift/gather maps from above.
-    exchange<double>(
-        dst.data().data(), kElems, src.data().data(),
-        [](index_t i) { return (i % kSide) * kSide + i / kSide; },
-        [&](index_t L) { return comm::detail::owner_id_linear(dst, L); },
-        [&](index_t J) { return comm::detail::owner_id_linear(src, J); });
+    exchange_planned(dst.data().data(), src.data().data(), *plan);
     total += seconds_since(t0);
   }
   return total / (kReps * static_cast<double>(kElems));

@@ -22,7 +22,7 @@
 /// whole machine), gamma (per-element routing cost) and delta (end-to-end
 /// per-element cost of the message-passing exchange engine) are calibrated
 /// by microbenchmark probes — a transport ping-pong, a block-distributed
-/// copy sweep, an ownership-scan and a real net::exchange — or overridden
+/// copy sweep, an ownership-scan and a real planned exchange — or overridden
 /// with DPF_NET_ALPHA, DPF_NET_BETA, DPF_NET_GAMMA, DPF_NET_DELTA,
 /// DPF_NET_RADIX and DPF_NET_CONTENTION. Until calibrate() runs,
 /// predictions stay 0 and only hop counts are annotated.

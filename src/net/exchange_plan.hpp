@@ -1,29 +1,27 @@
 #pragma once
 
 /// \file exchange_plan.hpp
-/// Precomputed routing plans for the personalized exchange engine.
+/// The personalized exchange engine: precomputed routing plans executed as
+/// index gathers over the transport.
 ///
-/// The std::function-erased engine (split_phase.hpp) has every sender VP
-/// scan all n destination indices through the map/owner functors, so one
-/// exchange costs O(p*n) functor evaluations per phase. For the suite's
-/// iterative apps the map is a pure function of (shape, layout, p) and the
-/// same exchange shape repeats every iteration — so the routing is computed
-/// once, on the control thread, into flat index tables:
+/// A plan routes dst[i] = src[map(i)] over a destination range. It is
+/// computed once, on the control thread, into flat index tables:
 ///
 ///   pack_idx / recv_idx   per-(sender, receiver) segments: the source
 ///                         gather order and the matching destination
-///                         scatter order (byte-for-byte the message layout
-///                         the functor engine produces)
+///                         scatter order
 ///   local_dst / local_src per-receiver locally-satisfied copy pairs
 ///   bound_idx             per-receiver boundary fills (map(i) < 0)
 ///
-/// Execution is then index gathers: each VP walks only its own segments,
-/// total O(n) work across the machine with zero functor calls on the hot
-/// path. Because the builder scans destination indices ascending — exactly
-/// the functor engine's order — the per-pair message contents and the
-/// consume order are identical, so results stay bit-identical across
-/// DPF_NET=direct|algorithmic|overlap and the transport sees the same
-/// messages, bytes, and tags as the legacy path.
+/// Execution walks only each VP's own segments: O(n) work across the
+/// machine and no map or owner calls on the hot path. build_exchange_plan
+/// scans destination indices ascending, so each message is consumed in
+/// exactly the order it was packed and every element is a bit-exact copy;
+/// results stay bit-identical across DPF_NET=direct|algorithmic|overlap.
+/// When the map is a pure function of (shape, layout, p) — shifts,
+/// transposes, spreads — the same plan serves every iteration (plan_for);
+/// a map that is data (gather, the combining scatters) builds its plan per
+/// call.
 ///
 /// Plans restricted to a destination index range [lo, hi) support the
 /// pipelined block formulation of transpose/butterfly: each block is an
@@ -39,7 +37,6 @@
 #include <cassert>
 #include <cstdint>
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "core/machine.hpp"
@@ -48,7 +45,6 @@
 #include "net/collectives.hpp"
 #include "net/net.hpp"
 #include "net/transport.hpp"
-#include "trace/trace.hpp"
 
 namespace dpf::net {
 
@@ -83,8 +79,8 @@ struct ExchangePlan {
 };
 
 /// Builds the routing plan by one control-thread scan of the destination
-/// indices ascending — the same order the functor engine packs and
-/// consumes in, which is what makes planned execution bit-identical.
+/// indices ascending: pack order equals consume order, which is what makes
+/// planned execution bit-identical.
 template <typename MapFn, typename OwnerDst, typename OwnerSrc>
 [[nodiscard]] std::shared_ptr<const ExchangePlan> build_exchange_plan(
     index_t lo, index_t hi, int p, const MapFn& src_index_of,
@@ -294,97 +290,19 @@ void planned_consume(const PlanOp<T>* ops, std::size_t k, bool include_local) {
   });
 }
 
-/// One in-flight planned exchange — the plan-backed analogue of
-/// ExchangeHandle with the same post / [complete_local] / complete
-/// contract and window semantics. Move-only.
+/// One-shot planned exchange: post, then consume. Overlap mode still
+/// exercises the three-phase protocol, with the local copies as a separate
+/// middle region while the messages are in flight.
 template <typename T>
-class [[nodiscard]] PlanHandle {
- public:
-  PlanHandle() = default;
-  PlanHandle(const PlanHandle&) = delete;
-  PlanHandle& operator=(const PlanHandle&) = delete;
-  PlanHandle(PlanHandle&& o) noexcept { swap(o); }
-  PlanHandle& operator=(PlanHandle&& o) noexcept {
-    if (this != &o) {
-      assert(!pending());
-      PlanHandle tmp(std::move(o));
-      swap(tmp);
-    }
-    return *this;
-  }
-  ~PlanHandle() { assert(!pending()); }
-
-  [[nodiscard]] bool pending() const { return posted_ && !completed_; }
-  [[nodiscard]] std::uint64_t posted_bytes() const { return posted_bytes_; }
-  [[nodiscard]] std::uint64_t post_end_ns() const { return post_end_ns_; }
-
-  void complete_local() {
-    assert(pending() && !local_done_);
-    planned_local(&op_, 1);
-    local_done_ = true;
-  }
-
-  void complete() {
-    assert(pending());
-    planned_consume(&op_, 1, !local_done_);
-    completed_ = true;
-  }
-
- private:
-  template <typename U>
-  friend PlanHandle<U> post_exchange_planned(
-      U* dst, const U* src, std::shared_ptr<const ExchangePlan> plan,
-      U boundary);
-
-  void swap(PlanHandle& o) noexcept {
-    std::swap(op_, o.op_);
-    std::swap(plan_, o.plan_);
-    std::swap(posted_bytes_, o.posted_bytes_);
-    std::swap(post_end_ns_, o.post_end_ns_);
-    std::swap(posted_, o.posted_);
-    std::swap(local_done_, o.local_done_);
-    std::swap(completed_, o.completed_);
-  }
-
-  PlanOp<T> op_{};
-  std::shared_ptr<const ExchangePlan> plan_;  // keeps op_.plan alive
-  std::uint64_t posted_bytes_ = 0;
-  std::uint64_t post_end_ns_ = 0;
-  bool posted_ = false;
-  bool local_done_ = false;
-  bool completed_ = false;
-};
-
-/// Posts a planned exchange and returns the in-flight handle. Control
-/// thread only, outside any SPMD region.
-template <typename T>
-[[nodiscard]] PlanHandle<T> post_exchange_planned(
-    T* dst, const T* src, std::shared_ptr<const ExchangePlan> plan,
-    T boundary = T{}) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  PlanHandle<T> h;
-  h.plan_ = std::move(plan);
-  const int p = h.plan_->p;
-  h.op_ = PlanOp<T>{dst, src, h.plan_.get(),
-                    next_tags(static_cast<std::uint64_t>(p) *
-                              static_cast<std::uint64_t>(p)),
-                    boundary};
-  h.posted_bytes_ = planned_post(&h.op_, 1);
-  h.post_end_ns_ = trace::now_ns();
-  h.posted_ = true;
-  return h;
-}
-
-/// One-shot planned exchange — the plan-backed net::exchange. Overlap mode
-/// still exercises the three-phase protocol (post / local / consume).
-template <typename T>
-void exchange_planned(T* dst, const T* src,
-                      std::shared_ptr<const ExchangePlan> plan,
+void exchange_planned(T* dst, const T* src, const ExchangePlan& plan,
                       T boundary = T{}) {
   coll_detail::EngineRecord rec(CommPattern::AAPC, 1, 1);
-  auto h = post_exchange_planned(dst, src, std::move(plan), boundary);
-  if (overlap()) h.complete_local();
-  h.complete();
+  const std::uint64_t p = static_cast<std::uint64_t>(plan.p);
+  const PlanOp<T> op{dst, src, &plan, next_tags(p * p), boundary};
+  planned_post(&op, 1);
+  const bool split = overlap();
+  if (split) planned_local(&op, 1);
+  planned_consume(&op, 1, /*include_local=*/!split);
 }
 
 }  // namespace dpf::net

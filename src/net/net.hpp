@@ -16,7 +16,7 @@
 /// accounting; the message-passing paths additionally drive real per-VP
 /// messages through the transport, which is what the microbenchmarks and
 /// the fat-tree cost model calibrate against. Overlap mode is algorithmic
-/// mode with the exchange engine running split-phase (split_phase.hpp).
+/// mode with the exchange engine (exchange_plan.hpp) running split-phase.
 
 #include <cstdint>
 

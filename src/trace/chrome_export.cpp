@@ -238,8 +238,7 @@ bool write_chrome_trace(const std::string& path, const Snapshot& snap) {
   }
 
   std::fprintf(f, "\n],\"displayTimeUnit\":\"ms\"}\n");
-  std::fclose(f);
-  return true;
+  return std::fclose(f) == 0;
 }
 
 }  // namespace dpf::trace

@@ -17,7 +17,7 @@ namespace dpf::trace {
 
 /// Writes `snap` as Chrome trace-event JSON ({"traceEvents": [...]}).
 /// Timestamps are microseconds rebased to the earliest event. Returns
-/// false if the file could not be opened.
+/// false if the file could not be opened or written.
 [[nodiscard]] bool write_chrome_trace(const std::string& path,
                                       const Snapshot& snap);
 

@@ -1,9 +1,9 @@
 // Regression tests for the outermost-pattern-only accounting rule: when a
 // comm primitive is realized through internally-recording collectives (the
-// DPF_NET=algorithmic paths route through net::exchange and friends, which
-// are recording primitives in their own right), the payload must be
-// attributed to the pattern the program asked for exactly once — never
-// double-counted against the internal exchange traffic.
+// DPF_NET=algorithmic paths route through net::exchange_planned and the
+// slot allgather, which are recording primitives in their own right), the
+// payload must be attributed to the pattern the program asked for exactly
+// once — never double-counted against the internal exchange traffic.
 
 #include <gtest/gtest.h>
 
@@ -60,8 +60,8 @@ TEST_F(CommNestingTest, NestedRecordScopeDropsInnerEvents) {
 }
 
 // The headline regression: an algorithmic cshift logs one CSHIFT event with
-// the payload bytes — not an extra AAPC from the net::exchange that
-// realized it.
+// the payload bytes — not an extra AAPC from the net::exchange_planned
+// that realized it.
 TEST_F(CommNestingTest, AlgorithmicCshiftLogsOnePatternOnly) {
   auto a = make_vector<double>(64);
   for (index_t i = 0; i < 64; ++i) a[i] = static_cast<double>(i);

@@ -1,7 +1,7 @@
 // Property/stress tests that split-phase posts are genuinely early.
 //
 // The payload-once rule (transport copies every message at post time) plus
-// ShiftHandle's local pass at start mean a shift's result is fully
+// the shift bundle's local pass at start mean a shift's result is fully
 // determined the moment cshift_start returns: the caller may scramble src,
 // run unrelated SPMD compute, start more handles and finish everything in
 // any order, and each dst must still hold the shift of the *original* src.
@@ -122,7 +122,7 @@ TEST_F(OverlapStressTest, RandomizedInterleavings) {
         auto scratch = make_vector<double>(n);
 
         set_mode(m);
-        std::vector<comm::ShiftHandle<double, 1>> handles;
+        std::vector<comm::ShiftBundle<double>> handles;
         handles.reserve(kHandles);
         std::vector<int> start_order(kHandles), finish_order(kHandles);
         for (int k = 0; k < kHandles; ++k) start_order[k] = finish_order[k] = k;
