@@ -178,9 +178,10 @@ void cshift_into(Array<T, R>& dst, const Array<T, R>& src, std::size_t axis,
     });
   }
 
+  const double seconds = timer.seconds();
   detail::record(pattern, static_cast<int>(R), static_cast<int>(R),
                  src.bytes(), detail::shift_offproc_bytes(src, axis, sh, true),
-                 0, timer.seconds());
+                 0, seconds);
 }
 
 /// Returns cshift(src, axis, s) as a library temporary.
@@ -228,10 +229,10 @@ void eoshift_into(Array<T, R>& dst, const Array<T, R>& src, std::size_t axis,
     });
   }
 
+  const double seconds = timer.seconds();
   detail::record(CommPattern::EOShift, static_cast<int>(R),
                  static_cast<int>(R), src.bytes(),
-                 detail::shift_offproc_bytes(src, axis, s, false), 0,
-                 timer.seconds());
+                 detail::shift_offproc_bytes(src, axis, s, false), 0, seconds);
 }
 
 /// Returns eoshift(src, axis, s, boundary) as a library temporary.

@@ -6,8 +6,11 @@
 /// array's distributed axis.
 
 #include <array>
+#include <cassert>
 #include <chrono>
 #include <cstdint>
+#include <memory>
+#include <vector>
 
 #include "core/array.hpp"
 #include "core/comm_log.hpp"
@@ -39,7 +42,8 @@ class OpTimer {
 };
 
 /// FNV-1a key accumulator for the engine's memos (core/memo.hpp): the
-/// exchange-plan memo and the off-processor byte memos below.
+/// exchange-plan memo, the owner-table memo and the off-processor byte
+/// memos below.
 struct KeyHash {
   std::uint64_t h = kFnvBasis;
   void mix(std::uint64_t v) { h = fnv_mix(h, v); }
@@ -59,10 +63,10 @@ struct KeyHash {
 };
 
 /// Memo of off-processor byte scans, one per call site and thread. The
-/// scans are pure functions of the arrays' ownership structure (plus, for
-/// irregular maps, the map contents), and the suite's apps re-issue the
-/// same operation shape every iteration — so each scan runs once per shape
-/// instead of once per call. Record-side only (control thread).
+/// scans are pure functions of the arrays' ownership structure, and the
+/// suite's apps re-issue the same operation shape every iteration — so each
+/// scan runs once per shape instead of once per call. Record-side only
+/// (control thread).
 using OffprocMemo = LruMemo<index_t, 16>;
 
 /// True when two arrays share one backing store (full aliasing — the
@@ -152,6 +156,46 @@ template <typename T, std::size_t R>
     coord[ax] = (i / strides[ax]) % a.extent(ax);
   }
   return owner_id(a, coord);
+}
+
+/// Owner ids of every linear element of one ownership structure:
+/// element i holds owner_id_linear(a, i) for any array `a` of that
+/// structure. Immutable once built.
+using OwnerTable = std::vector<int>;
+
+/// Control-thread memo of owner tables (core/memo.hpp) under the VP count
+/// plus the ownership structure. The element type is not in the key, so
+/// arrays of different types with one structure share one table. The
+/// suite's router operations touch 9 structures at DPF_VPS=16 under
+/// DPF_NET=direct, algorithmic and overlap, so a warm pass builds no table.
+using OwnerTableMemo = LruMemo<std::shared_ptr<const OwnerTable>, 16>;
+
+/// This thread's owner-table memo; its stats() count table builds and
+/// reuses.
+[[nodiscard]] inline OwnerTableMemo& owner_table_memo() {
+  static thread_local OwnerTableMemo memo;
+  return memo;
+}
+
+/// The owner table of `a`'s ownership structure at the current VP count,
+/// built by one owner_id_linear decode per element on first use and shared
+/// afterwards. Control thread only.
+template <typename T, std::size_t R>
+[[nodiscard]] std::shared_ptr<const OwnerTable> owner_table(
+    const Array<T, R>& a) {
+  const int p = Machine::instance().vps();
+  KeyHash key;
+  key.mix(static_cast<std::uint64_t>(p));
+  key.mix_owner_structure(a, p);
+  auto table = owner_table_memo().get(key.h, [&] {
+    OwnerTable owners(static_cast<std::size_t>(a.size()));
+    for (index_t i = 0; i < a.size(); ++i) {
+      owners[static_cast<std::size_t>(i)] = owner_id_linear(a, i);
+    }
+    return std::make_shared<const OwnerTable>(std::move(owners));
+  });
+  assert(static_cast<index_t>(table->size()) == a.size());
+  return table;
 }
 
 /// Owner of position i on the distributed axis of extent n; 0 if n == 0.

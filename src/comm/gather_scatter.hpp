@@ -6,7 +6,9 @@
 /// Index maps hold *linear* indices into the peer array, which lets one set
 /// of primitives serve every rank combination the paper's tables use
 /// ("1-D to 3-D Scatters", "3-D to 1-D Gather", ...). Ownership of a linear
-/// index is derived from its coordinate on the array's distributed axes.
+/// index is derived from its coordinate on the array's distributed axes,
+/// and read per element from the structure's cached owner table
+/// (detail::owner_table).
 ///
 /// The same data motion is recorded under different pattern names in the
 /// paper depending on the language construct that expressed it (Gather vs
@@ -31,40 +33,21 @@ namespace dpf::comm {
 
 namespace gs_detail {
 
-template <typename TD, typename TS, std::size_t RD, std::size_t RS>
-[[nodiscard]] index_t offproc_bytes(const Array<TD, RD>& dst,
-                                    const Array<TS, RS>& src,
-                                    const Array<index_t, RD>& map,
-                                    bool map_indexes_src) {
-  const int p = Machine::instance().vps();
-  if (p <= 1) return 0;
-  // The double ownership scan costs two classifier calls per map element;
-  // the irregular apps (fem-3D, pic-*, md) re-issue the same constant map
-  // every timestep. Memoize on the ownership structures plus a fingerprint
-  // of the map contents — one multiply-xor per element instead of two
-  // coordinate-decode owner folds.
-  detail::KeyHash key;
-  key.mix(static_cast<std::uint64_t>(p));
-  key.mix(map_indexes_src ? 1 : 0);
-  key.mix(sizeof(TS));
-  key.mix(static_cast<std::uint64_t>(map.size()));
-  key.mix_owner_structure(dst, p);
-  key.mix_owner_structure(src, p);
-  for (index_t i = 0; i < map.size(); ++i) {
-    key.mix(static_cast<std::uint64_t>(map[i]));
-  }
-  static thread_local detail::OffprocMemo memo;
-  return memo.get(key.h, [&] {
-    index_t off = 0;
-    for (index_t i = 0; i < map.size(); ++i) {
-      const int od =
-          detail::owner_id_linear(dst, map_indexes_src ? i : map[i]);
-      const int os =
-          detail::owner_id_linear(src, map_indexes_src ? map[i] : i);
-      if (od != os) off += static_cast<index_t>(sizeof(TS));
-    }
-    return off;
-  });
+/// Off-processor bytes of the element pairs (a[i], b[map[i]]) over every
+/// linear i of `map`: the pairs whose owners differ, times the element
+/// size. One scan of the owner tables per call; the map is data, so
+/// nothing is memoized.
+template <typename TA, typename TB, std::size_t RA, std::size_t RB>
+[[nodiscard]] index_t offproc_bytes(const Array<TA, RA>& a,
+                                    const Array<TB, RB>& b,
+                                    const Array<index_t, RA>& map) {
+  if (Machine::instance().vps() <= 1) return 0;
+  const auto oa = detail::owner_table(a);
+  const auto ob = detail::owner_table(b);
+  const index_t* mp = map.data().data();
+  index_t moved = 0;
+  for (index_t i = 0; i < map.size(); ++i) moved += (*oa)[i] != (*ob)[mp[i]];
+  return moved * static_cast<index_t>(sizeof(TB));
 }
 
 /// The contributions of one combining exchange, staged: under a
@@ -94,10 +77,12 @@ template <typename T, std::size_t RD, std::size_t RS>
   const int p = Machine::instance().vps();
   if (!net::algorithmic() || p <= 1) return st;
   const index_t* mp = map.data().data();
+  const auto od = detail::owner_table(dst);
+  const auto os = detail::owner_table(src);
   st.plan = net::build_exchange_plan(
       0, src.size(), p, [](index_t j) { return j; },
-      [&](index_t j) { return detail::owner_id_linear(dst, mp[j]); },
-      [&](index_t j) { return detail::owner_id_linear(src, j); });
+      [&](index_t j) { return (*od)[mp[j]]; },
+      [&](index_t j) { return (*os)[j]; });
   st.slots.resize(static_cast<std::size_t>(src.size()));
   st.base = net::next_tags(static_cast<std::uint64_t>(p) *
                            static_cast<std::uint64_t>(p));
@@ -150,9 +135,9 @@ void combine_into(Array<T, RD>& dst, const Array<T, RS>& src,
   Staged<T> st = post_staged(dst, src, map);
   apply_staged(dst, src, map, add, st);
   if (add) flops::add(flops::Kind::AddSubMul, src.size());
+  const double seconds = timer.seconds();
   detail::record(pattern, static_cast<int>(RS), static_cast<int>(RD),
-                 src.bytes(), offproc_bytes(src, dst, map, /*map_src=*/true),
-                 0, timer.seconds());
+                 src.bytes(), offproc_bytes(src, dst, map), 0, seconds);
 }
 
 }  // namespace gs_detail
@@ -170,10 +155,12 @@ void gather_into(Array<T, RD>& dst, const Array<T, RS>& src,
   detail::OpTimer timer;
   if (net::algorithmic() && p > 1) {
     const index_t* mp = map.data().data();
+    const auto od = detail::owner_table(dst);
+    const auto os = detail::owner_table(src);
     const auto plan = net::build_exchange_plan(
         0, dst.size(), p, [mp](index_t i) { return mp[i]; },
-        [&](index_t i) { return detail::owner_id_linear(dst, i); },
-        [&](index_t j) { return detail::owner_id_linear(src, j); });
+        [&](index_t i) { return (*od)[i]; },
+        [&](index_t j) { return (*os)[j]; });
     net::exchange_planned(dst.data().data(), src.data().data(), *plan);
   } else {
     parallel_range(dst.size(), [&](index_t lo, index_t hi) {
@@ -183,10 +170,10 @@ void gather_into(Array<T, RD>& dst, const Array<T, RS>& src,
       }
     });
   }
+  const double seconds = timer.seconds();
   detail::record(pattern, static_cast<int>(RS), static_cast<int>(RD),
-                 dst.bytes(),
-                 gs_detail::offproc_bytes(dst, src, map, /*map_src=*/true), 0,
-                 timer.seconds());
+                 dst.bytes(), gs_detail::offproc_bytes(dst, src, map), 0,
+                 seconds);
 }
 
 /// dst[i] = sum over j with map[j] == i of src[j], added onto dst
@@ -271,8 +258,7 @@ class [[nodiscard]] ScatterAddHandle {
     const std::uint64_t f0 = trace::now_ns();
     gs_detail::apply_staged(*dst_, *src_, *map_, /*add=*/true, staged_);
     const std::uint64_t f1 = trace::now_ns();
-    const index_t offproc =
-        gs_detail::offproc_bytes(*src_, *dst_, *map_, /*map_src=*/true);
+    const index_t offproc = gs_detail::offproc_bytes(*src_, *dst_, *map_);
     if (split) {
       const double phase_s =
           static_cast<double>((post_end_ns_ - start_ns_) + (f1 - f0)) * 1e-9;

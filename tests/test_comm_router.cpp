@@ -7,14 +7,20 @@
 // Three properties per operation:
 //   * results are bitwise equal across DPF_NET=direct, algorithmic and
 //     overlap, and equal a serial reference loop;
-//   * under each message-passing mode the transport carries exactly the
-//     operation's recorded off-processor bytes, and those equal the element
-//     count a brute-force owner scan finds crossing VPs (times 8 bytes);
+//   * in every mode the recorded off-processor bytes equal the element
+//     count a brute-force owner scan finds crossing VPs (times 8 bytes),
+//     and under each message-passing mode the transport carries exactly
+//     those bytes;
 //   * the transport carries one message per distinct (sender, receiver)
 //     pair with sender != receiver in that scan.
+//
+// A run of 40 distinct maps of one shape through gather and scatter-add
+// then checks every call's recorded bytes, and that the router classifies
+// all of them from the two arrays' owner tables, built once each.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <set>
@@ -24,6 +30,7 @@
 
 #include "comm/comm.hpp"
 #include "core/machine.hpp"
+#include "core/memo.hpp"
 #include "net/net.hpp"
 
 namespace dpf {
@@ -295,6 +302,78 @@ TEST_F(CommRouterTest, TransportCarriesOffprocBytesInOneMessagePerPair) {
         EXPECT_EQ(net::transport().pending(), 0u) << what;
       }
     }
+  }
+}
+
+/// Elements of `op` on `a` that a brute-force owner scan finds crossing VPs.
+std::uint64_t crossing_elements(Op op, const Arrays& a) {
+  std::uint64_t crossing = 0;
+  for (const auto& [from, to] : routes(op, a)) crossing += from != to;
+  return crossing;
+}
+
+TEST_F(CommRouterTest, DirectModeRecordsTheOwnerScanBytes) {
+  for (const Config& c : kConfigs) {
+    Machine::instance().configure(c.p);
+    for (const OpInfo& o : kOps) {
+      Arrays a(c.grid);
+      const std::uint64_t crossing = crossing_elements(o.op, a);
+      const std::string what =
+          std::string(o.name) + " p=" + std::to_string(c.p);
+      net::transport().reset();
+      CommLog::instance().reset();
+      run(o.op, a);
+      const auto events = CommLog::instance().events();
+      ASSERT_EQ(events.size(), 1u) << what;
+      EXPECT_EQ(events[0].pattern, o.pattern) << what;
+      EXPECT_EQ(events[0].offproc_bytes,
+                static_cast<index_t>(crossing * sizeof(double)))
+          << what;
+      EXPECT_EQ(net::transport().stats().messages, 0u) << what;
+    }
+  }
+}
+
+TEST_F(CommRouterTest, FortyMapsOfOneShapeCountBytesFromTwoOwnerTables) {
+  constexpr index_t kMaps = 40;  // more than any per-map memo would hold
+  for (const Config& c : kConfigs) {
+    Machine::instance().configure(c.p);
+    comm::detail::owner_table_memo().clear();
+    const MemoStats before = comm::detail::owner_table_memo().stats();
+    for (const char* m : kModes) {
+      for (index_t k = 0; k < kMaps; ++k) {
+        for (const Op op : {Op::Gather, Op::ScatterAdd}) {
+          Arrays a(c.grid);
+          // map[0] = 7k + 1 differs for every k < 40.
+          for (index_t j = 0; j < kLen; ++j) {
+            a.map[j] = (j * (2 * k + 3) + 7 * k + 1) % a.plane.size();
+          }
+          const std::uint64_t crossing = crossing_elements(op, a);
+          const std::string what =
+              std::string(gathers(op) ? "gather" : "scatter-add") + " map " +
+              std::to_string(k) + " mode=" + m + " p=" + std::to_string(c.p);
+          net::transport().reset();
+          CommLog::instance().reset();
+          set_mode(m);
+          run(op, a);
+          set_mode("direct");
+          const auto events = CommLog::instance().events();
+          ASSERT_EQ(events.size(), 1u) << what;
+          EXPECT_EQ(events[0].offproc_bytes,
+                    static_cast<index_t>(crossing * sizeof(double)))
+              << what;
+          if (std::strcmp(m, "direct") != 0) {
+            EXPECT_EQ(net::transport().stats().bytes,
+                      crossing * sizeof(double))
+                << what;
+          }
+        }
+      }
+    }
+    const MemoStats after = comm::detail::owner_table_memo().stats();
+    EXPECT_EQ(after.built - before.built, 2u)
+        << "p=" << c.p << ": one table for the plane, one for the line";
+    EXPECT_EQ(after.evicted - before.evicted, 0u) << "p=" << c.p;
   }
 }
 

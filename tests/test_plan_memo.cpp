@@ -3,8 +3,9 @@
 // of as many keys as the capacity rebuilds nothing on its second run,
 // eviction takes exactly the least recently used entry, an rp-shaped
 // overlapped stencil builds each of its six shift plans once, the shift
-// off-processor memo agrees with a fresh scan, and `dpfrun --report comm`
-// prints the plan counters.
+// off-processor memo agrees with a fresh scan, owner tables agree with
+// owner_id_linear on every element and are shared per ownership structure,
+// and `dpfrun --report comm` prints the plan and owner-table counters.
 
 #include <gtest/gtest.h>
 
@@ -172,6 +173,64 @@ TEST_F(PlanMemoMachineTest, ShiftOffprocMemoMatchesAFreshScan) {
   }
 }
 
+/// Expects owner_table(a) to hold owner_id_linear(a, i) for every i of `a`
+/// at the current VP count.
+template <typename T, std::size_t R>
+void expect_table_matches_decode(const Array<T, R>& a,
+                                 const std::string& what) {
+  const auto table = comm::detail::owner_table(a);
+  ASSERT_EQ(static_cast<index_t>(table->size()), a.size()) << what;
+  for (index_t i = 0; i < a.size(); ++i) {
+    ASSERT_EQ((*table)[static_cast<std::size_t>(i)],
+              comm::detail::owner_id_linear(a, i))
+        << what << " element " << i;
+  }
+}
+
+TEST_F(PlanMemoMachineTest, OwnerTableMatchesDecodeOnEveryElement) {
+  for (const int p : {1, 3, 8, 16}) {
+    Machine::instance().configure(p);
+    expect_table_matches_decode(make_vector<double>(97),
+                                "1-D block p=" + std::to_string(p));
+  }
+  for (const int p : {3, 8}) {
+    Machine::instance().configure(p);
+    const Array1<double> cyclic(Shape<1>(97),
+                                Layout<1>{}.with_dist(Dist::Cyclic));
+    expect_table_matches_decode(cyclic, "cyclic p=" + std::to_string(p));
+  }
+  Machine::instance().configure(8);
+  const Array2<double> serial_lead(
+      Shape<2>(5, 37), Layout<2>(AxisKind::Serial, AxisKind::Parallel));
+  expect_table_matches_decode(serial_lead, "leading serial axis");
+  expect_table_matches_decode(Array3<double>{Shape<3>(11, 7, 9)}, "3-D fold");
+  Machine::instance().configure(4);
+  const Array2<double> grid(Shape<2>(12, 10), Layout<2>{}.with_grid({2, 2}));
+  expect_table_matches_decode(grid, "2x2 grid");
+  Machine::instance().configure(16);
+  expect_table_matches_decode(Array2<double>{Shape<2>(5, 13)},
+                              "distributed extent 5 < p=16");
+}
+
+TEST_F(PlanMemoMachineTest, OwnerTableSharedAcrossElementTypesPerVpCount) {
+  Machine::instance().configure(8);
+  comm::detail::owner_table_memo().clear();
+  const MemoStats before = comm::detail::owner_table_memo().stats();
+  const auto of_doubles = comm::detail::owner_table(make_vector<double>(97));
+  const auto of_indices = comm::detail::owner_table(make_vector<index_t>(97));
+  EXPECT_EQ(of_doubles, of_indices) << "one structure, one table";
+  MemoStats after = comm::detail::owner_table_memo().stats();
+  EXPECT_EQ(after.built - before.built, 1u);
+  EXPECT_EQ(after.reused - before.reused, 1u);
+
+  Machine::instance().configure(3);
+  const auto at_three = comm::detail::owner_table(make_vector<double>(97));
+  after = comm::detail::owner_table_memo().stats();
+  EXPECT_EQ(after.built - before.built, 2u) << "a new VP count, a new table";
+  EXPECT_NE(at_three, of_doubles);
+  expect_table_matches_decode(make_vector<double>(97), "after configure(3)");
+}
+
 TEST(PlanMemoCli, ReportCommPrintsPlanCountersOfTheRun) {
   const char* dpfrun = std::getenv("DPF_DPFRUN_BIN");
   if (dpfrun == nullptr || *dpfrun == '\0') {
@@ -202,6 +261,39 @@ TEST(PlanMemoCli, ReportCommPrintsPlanCountersOfTheRun) {
   EXPECT_EQ(built, 6u) << plan_line;
   EXPECT_GT(reused, 0u) << plan_line;
   EXPECT_EQ(evicted, 0u) << plan_line;
+}
+
+TEST(PlanMemoCli, ReportCommPrintsOwnerTableCountersOfTheRun) {
+  const char* dpfrun = std::getenv("DPF_DPFRUN_BIN");
+  if (dpfrun == nullptr || *dpfrun == '\0') {
+    GTEST_SKIP() << "DPF_DPFRUN_BIN not set (run under ctest)";
+  }
+  const std::string cmd =
+      std::string("'") + dpfrun +
+      "' run pic-gather-scatter --vps=16 --report comm 2>&1";
+  FILE* out = ::popen(cmd.c_str(), "r");
+  ASSERT_NE(out, nullptr);
+  std::string table_line;
+  char line[512];
+  while (std::fgets(line, sizeof line, out) != nullptr) {
+    if (std::string(line).find("owner tables") != std::string::npos) {
+      table_line = line;
+    }
+  }
+  ASSERT_EQ(::pclose(out), 0) << cmd;
+  ASSERT_FALSE(table_line.empty()) << "no owner-table line in the report";
+  unsigned long long built = 0, reused = 0, evicted = 0;
+  ASSERT_EQ(std::sscanf(table_line.c_str(),
+                        " owner tables : %llu built, %llu reused, %llu "
+                        "evicted",
+                        &built, &reused, &evicted),
+            3)
+      << table_line;
+  // One table for the 2,048-particle arrays and one for the 8^3 grid, each
+  // reused by every later gather and scatter of the run.
+  EXPECT_EQ(built, 2u) << table_line;
+  EXPECT_GT(reused, 0u) << table_line;
+  EXPECT_EQ(evicted, 0u) << table_line;
 }
 
 }  // namespace

@@ -67,6 +67,7 @@
 #include <string>
 #include <vector>
 
+#include "comm/detail.hpp"
 #include "core/machine.hpp"
 #include "core/registry.hpp"
 #include "net/exchange_plan.hpp"
@@ -291,10 +292,13 @@ int cmd_run(const std::string& name, const std::vector<std::string>& args) {
 
   if (!trace_path.empty()) CommLog::instance().reset();
   if (chrome_trace || report_trace) trace::reset();
-  // Plan-memo counters over the run alone, not the calibration above.
+  // Plan- and owner-table-memo counters over the run alone, not the
+  // calibration above.
   const MemoStats plans0 = net::plan_memo().stats();
+  const MemoStats owners0 = comm::detail::owner_table_memo().stats();
   const auto r = def->run_with_defaults(cfg);
   const MemoStats plans1 = net::plan_memo().stats();
+  const MemoStats owners1 = comm::detail::owner_table_memo().stats();
   // Flush the timeline once, before the peak-MFLOPS calibration below can
   // append its own regions to the rings. The shm backend's router-process
   // delivery timelines merge in as external tracks.
@@ -370,12 +374,17 @@ int cmd_run(const std::string& name, const std::vector<std::string>& args) {
     std::printf("  transport traffic      : %llu messages, %llu bytes\n",
                 static_cast<unsigned long long>(ts.messages),
                 static_cast<unsigned long long>(ts.bytes));
-    std::printf("  exchange plans         : %llu built, %llu reused, "
-                "%llu evicted\n",
-                static_cast<unsigned long long>(plans1.built - plans0.built),
-                static_cast<unsigned long long>(plans1.reused - plans0.reused),
-                static_cast<unsigned long long>(plans1.evicted -
-                                                plans0.evicted));
+    const auto memo_line = [](const char* what, const MemoStats& before,
+                              const MemoStats& after) {
+      std::printf("  %-23s: %llu built, %llu reused, %llu evicted\n", what,
+                  static_cast<unsigned long long>(after.built - before.built),
+                  static_cast<unsigned long long>(after.reused -
+                                                  before.reused),
+                  static_cast<unsigned long long>(after.evicted -
+                                                  before.evicted));
+    };
+    memo_line("exchange plans", plans0, plans1);
+    memo_line("owner tables", owners0, owners1);
     if (net::ShmTransport::created() &&
         net::ShmTransport::instance().running()) {
       const auto& s = net::ShmTransport::instance();
