@@ -266,10 +266,8 @@ int main(int argc, char** argv) {
   }
   std::fprintf(f,
                "{\n  \"schema_version\": 2,\n"
-               "  \"calibration_cache_hit\": %s,\n"
                "  \"machine\": {\"vps\": %d, \"workers\": %d},\n",
-               dpf::net::calibration_from_cache() ? "true" : "false", p,
-               m.workers());
+               p, m.workers());
   std::fprintf(f, "  \"backends\": {\n");
   for (std::size_t i = 0; i < results.size(); ++i) {
     json_backend(f, results[i], i + 1 == results.size());

@@ -32,7 +32,6 @@
 #include "bench/table_common.hpp"
 #include "core/machine.hpp"
 #include "net/net.hpp"
-#include "net/tune.hpp"
 #include "vec/vec.hpp"
 #include "trace/chrome_export.hpp"
 #include "trace/summary.hpp"
@@ -83,12 +82,10 @@ bool write_json(const std::string& path, int vps, double peak,
   }
   std::fprintf(f,
                "{\n  \"schema_version\": 2,\n"
-               "  \"calibration_cache_hit\": %s,\n"
                "  \"machine\": {\"vps\": %d, \"peak_mflops\": %.1f, "
                "\"simd\": %s, \"net_mode\": \"%s\"},\n",
-               dpf::net::calibration_from_cache() ? "true" : "false", vps,
-               peak, dpf::vec::enabled() ? "true" : "false",
-               dpf::net::mode_label());
+               vps, peak, dpf::vec::enabled() ? "true" : "false",
+               dpf::net::mode_name(dpf::net::mode()));
   std::fprintf(f, "  \"benchmarks\": [\n");
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
@@ -146,15 +143,6 @@ int main(int argc, char** argv) {
     } else {
       path_arg = argv[i];
     }
-  }
-  // Tuned runs build the decision table before any benchmark is timed, so
-  // the probes never land inside a measured repetition. The tuner's SIMD
-  // recommendation is deliberately NOT applied here: the perf gate compares
-  // against a baseline with a fixed machine block, and silently flipping
-  // vec mode would invalidate that comparison.
-  if (net::auto_enabled()) {
-    net::calibrate();
-    net::Tuner::instance().ensure();
   }
   const double peak = Machine::instance().peak_mflops();
   std::printf("machine: %d virtual processors, calibrated peak %.1f MFLOPS\n",

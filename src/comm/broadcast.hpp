@@ -25,8 +25,6 @@ namespace dpf::comm {
 template <typename T, std::size_t R>
 void broadcast_fill(Array<T, R>& dst, T value) {
   const int p = Machine::instance().vps();
-  const net::ScopedMode tuned(net::mode_for(
-      CommPattern::Broadcast, static_cast<std::uint64_t>(dst.bytes())));
   detail::OpTimer timer;
   if (net::algorithmic() && p > 1) {
     const std::vector<T> vals = net::bcast_value(value);
@@ -76,8 +74,6 @@ void spread_into(Array<T, R>& dst, const Array<T, R - 1>& src,
   key.mix(sizeof(T));
   key.mix_owner_structure(dst, p);
   key.mix_owner_structure(src, p);
-  const net::ScopedMode tuned(
-      net::mode_for(pattern, static_cast<std::uint64_t>(dst.bytes())));
   detail::OpTimer timer;
   if (net::algorithmic() && p > 1) {
     // Personalized exchange: every replica crosses as one message element.

@@ -37,8 +37,6 @@ void butterfly_into(Array<T, R>& dst, const Array<T, R>& src, index_t h) {
 
   const bool inplace = detail::same_store(dst, src);
   const int p = Machine::instance().vps();
-  const net::ScopedMode tuned(net::mode_for(
-      CommPattern::Butterfly, static_cast<std::uint64_t>(src.bytes())));
   detail::OpTimer timer;
   detail::PipelineStats ps;
 

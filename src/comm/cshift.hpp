@@ -162,8 +162,6 @@ void cshift_into(Array<T, R>& dst, const Array<T, R>& src, std::size_t axis,
   const T* sp = src.data().data();
   T* dp = dst.data().data();
   const int p = Machine::instance().vps();
-  const net::ScopedMode tuned(
-      net::mode_for(pattern, static_cast<std::uint64_t>(src.bytes())));
   detail::OpTimer timer;
   if (net::algorithmic() && p > 1) {
     // Ring formulation: each VP packs the rotated-in elements it owns and
@@ -212,8 +210,6 @@ void eoshift_into(Array<T, R>& dst, const Array<T, R>& src, std::size_t axis,
   const T* sp = src.data().data();
   T* dp = dst.data().data();
   const int p = Machine::instance().vps();
-  const net::ScopedMode tuned(net::mode_for(
-      CommPattern::EOShift, static_cast<std::uint64_t>(src.bytes())));
   detail::OpTimer timer;
   if (net::algorithmic() && p > 1) {
     const index_t chi = std::max(copy_lo, copy_hi);
@@ -323,7 +319,6 @@ class [[nodiscard]] ShiftBundle {
   void start() {
     assert(!started_);
     started_ = true;
-    const net::ScopedMode tuned(mode_);
     start_ns_ = trace::now_ns();
     if (items_.empty()) {
       post_end_ns_ = start_ns_;
@@ -353,7 +348,6 @@ class [[nodiscard]] ShiftBundle {
     assert(started_ && !finished_);
     finished_ = true;
     if (items_.empty()) return;
-    const net::ScopedMode tuned(mode_);
     const std::uint64_t f0 = trace::now_ns();
     if (engine_) net::planned_consume(ops_.data(), ops_.size(), false);
     const std::uint64_t f1 = trace::now_ns();
@@ -416,14 +410,12 @@ class [[nodiscard]] ShiftBundle {
     std::shared_ptr<const net::ExchangePlan> plan;  ///< engine path only
   };
 
-  /// Appends a member. The first member's (pattern, bytes) decides the
-  /// bundle's mode: every member takes the same path so the phases fuse.
+  /// Appends a member. The first member decides the bundle's path: every
+  /// member takes the same path so the phases fuse.
   template <std::size_t R, typename PlanFn>
   void push(CommPattern pattern, const Array<T, R>& src, index_t offproc,
             const Sweep& sweep, PlanFn&& plan_of) {
     if (items_.empty()) {
-      mode_ = net::mode_for(pattern, static_cast<std::uint64_t>(src.bytes()));
-      const net::ScopedMode tuned(mode_);
       engine_ = net::algorithmic() && Machine::instance().vps() > 1;
     }
     items_.push_back(Item{pattern, static_cast<int>(R), src.bytes(), offproc,
@@ -441,8 +433,7 @@ class [[nodiscard]] ShiftBundle {
   std::uint64_t posted_bytes_ = 0;
   std::uint64_t start_ns_ = 0;
   std::uint64_t post_end_ns_ = 0;
-  net::Mode mode_ = net::Mode::Direct;  ///< decided by the first member
-  bool engine_ = false;  ///< message-passing path (decided with mode_)
+  bool engine_ = false;  ///< message-passing path (decided by the first member)
   bool started_ = false;
   bool finished_ = false;
 };

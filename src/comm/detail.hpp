@@ -218,11 +218,7 @@ template <typename T, std::size_t R>
 /// floating-point result — is unchanged.
 template <typename T>
 void share_partials(std::vector<T>& partial) {
-  if (partial.size() <= 1) return;
-  const net::ScopedMode tuned(net::mode_for(
-      CommPattern::Reduction,
-      static_cast<std::uint64_t>(partial.size() * sizeof(T))));
-  if (net::algorithmic()) {
+  if (partial.size() > 1 && net::algorithmic()) {
     net::allgather_slots(partial);
   }
 }

@@ -129,8 +129,6 @@ void combine_into(Array<T, RD>& dst, const Array<T, RS>& src,
                   const Array<index_t, RS>& map, bool add,
                   CommPattern pattern) {
   assert(map.size() == src.size());
-  const net::ScopedMode tuned(
-      net::mode_for(pattern, static_cast<std::uint64_t>(src.bytes())));
   detail::OpTimer timer;
   Staged<T> st = post_staged(dst, src, map);
   apply_staged(dst, src, map, add, st);
@@ -150,8 +148,6 @@ void gather_into(Array<T, RD>& dst, const Array<T, RS>& src,
                  CommPattern pattern = CommPattern::Gather) {
   assert(map.size() == dst.size());
   const int p = Machine::instance().vps();
-  const net::ScopedMode tuned(
-      net::mode_for(pattern, static_cast<std::uint64_t>(dst.bytes())));
   detail::OpTimer timer;
   if (net::algorithmic() && p > 1) {
     const index_t* mp = map.data().data();
@@ -239,7 +235,6 @@ class [[nodiscard]] ScatterAddHandle {
         map_(o.map_),
         pattern_(o.pattern_),
         staged_(std::move(o.staged_)),
-        mode_(o.mode_),
         start_ns_(o.start_ns_),
         post_end_ns_(o.post_end_ns_),
         finished_(o.finished_) {
@@ -252,8 +247,6 @@ class [[nodiscard]] ScatterAddHandle {
 
   void finish() {
     assert(!finished_);
-    // The completion phase records under the mode the start phase decided.
-    const net::ScopedMode tuned(mode_);
     const bool split = staged_.plan != nullptr;
     const std::uint64_t f0 = trace::now_ns();
     gs_detail::apply_staged(*dst_, *src_, *map_, /*add=*/true, staged_);
@@ -293,7 +286,6 @@ class [[nodiscard]] ScatterAddHandle {
   const Array<index_t, RS>* map_ = nullptr;
   CommPattern pattern_ = CommPattern::ScatterCombine;
   gs_detail::Staged<T> staged_;
-  net::Mode mode_ = net::Mode::Direct;  ///< mode decided at start
   std::uint64_t start_ns_ = 0;
   std::uint64_t post_end_ns_ = 0;
   bool finished_ = false;
@@ -312,8 +304,6 @@ template <typename T, std::size_t RD, std::size_t RS>
   h.map_ = &map;
   h.pattern_ = pattern;
   h.start_ns_ = trace::now_ns();
-  h.mode_ = net::mode_for(pattern, static_cast<std::uint64_t>(src.bytes()));
-  const net::ScopedMode tuned(h.mode_);
   h.staged_ = gs_detail::post_staged(dst, src, map);
   h.post_end_ns_ = trace::now_ns();
   return h;

@@ -27,7 +27,6 @@
 #include "comm/detail.hpp"
 #include "core/machine.hpp"
 #include "net/exchange_plan.hpp"
-#include "net/tune.hpp"
 #include "trace/trace.hpp"
 
 namespace dpf::comm::detail {
@@ -83,9 +82,7 @@ PipelineStats planned_engine_exchange(T* dst, index_t n, const T* src,
   // unhidden time is what the post and consume calls cost; everything else
   // between the first post's end and the last consume's start (later
   // posts, local copies, plan lookups) runs while messages are in flight.
-  const index_t nb = net::tuned_blocks(
-      span_pattern, static_cast<std::uint64_t>(n) * sizeof(T),
-      pipeline_blocks(n, p));
+  const index_t nb = pipeline_blocks(n, p);
   st.split = true;
   st.blocks = static_cast<int>(nb);
   std::vector<std::shared_ptr<const net::ExchangePlan>> plans(nb);

@@ -186,13 +186,8 @@ void assign_interior_first(Array<T, R>& dst, index_t halo,
                            Finish&& finish_halos, F&& fn) {
   const index_t n = dst.size();
   const int p = Machine::instance().vps();
-  // Any non-direct decision means the bundle's halos may be in flight; the
-  // bundle itself scoped the mode it actually posted under, so this only
-  // needs the same (pattern, bytes) cell, not the bundle's handle.
-  const bool message_mode =
-      p > 1 && net::mode_for(CommPattern::Stencil,
-                             static_cast<std::uint64_t>(dst.bytes())) !=
-                   net::Mode::Direct;
+  // Under a message-passing mode the bundle's halos may be in flight.
+  const bool message_mode = net::algorithmic() && p > 1;
   InteriorMask<R> mk;
   if (message_mode && n > 0) mk = interior_mask(dst, halo);
   if (!message_mode || !mk.any_boundary || n == 0) {

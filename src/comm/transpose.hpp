@@ -100,8 +100,6 @@ void transpose_into(Array<T, 2>& dst, const Array<T, 2>& src) {
   assert(dst.extent(0) == m && dst.extent(1) == n);
 
   const int p = Machine::instance().vps();
-  const net::ScopedMode tuned(net::mode_for(
-      CommPattern::AAPC, static_cast<std::uint64_t>(src.bytes())));
   detail::OpTimer timer;
   // Pairwise-exchange AAPC: dst element i*n + j pulls src element j*m + i.
   const detail::PipelineStats ps = detail::planned_engine_exchange(
@@ -148,7 +146,6 @@ class [[nodiscard]] TransposeHandle {
         posted_bytes_(o.posted_bytes_),
         start_ns_(o.start_ns_),
         post_end_ns_(o.post_end_ns_),
-        mode_(o.mode_),
         finished_(o.finished_) {
     o.finished_ = true;  // moved-from shell owes no completion
   }
@@ -161,8 +158,6 @@ class [[nodiscard]] TransposeHandle {
     assert(!finished_);
     finished_ = true;
     if (dst_->size() == 0) return;
-    // The completion phase records under the mode the start phase decided.
-    const net::ScopedMode tuned(mode_);
     const int p = Machine::instance().vps();
     const std::uint64_t f0 = trace::now_ns();
     if (!ops_.empty()) net::planned_consume(ops_.data(), ops_.size(), false);
@@ -198,7 +193,6 @@ class [[nodiscard]] TransposeHandle {
   std::uint64_t posted_bytes_ = 0;
   std::uint64_t start_ns_ = 0;
   std::uint64_t post_end_ns_ = 0;
-  net::Mode mode_ = net::Mode::Direct;  ///< mode decided at start
   bool finished_ = false;
 };
 
@@ -217,14 +211,9 @@ template <typename T>
   h.start_ns_ = trace::now_ns();
   const int p = Machine::instance().vps();
   const index_t sz = dst.size();
-  h.mode_ = net::mode_for(CommPattern::AAPC,
-                          static_cast<std::uint64_t>(src.bytes()));
-  const net::ScopedMode tuned(h.mode_);
   if (net::algorithmic() && p > 1 && sz > 0) {
     const std::uint64_t skey = transpose_detail::struct_key(dst, src, p);
-    const index_t nb = net::tuned_blocks(
-        CommPattern::AAPC, static_cast<std::uint64_t>(sz) * sizeof(T),
-        detail::pipeline_blocks(sz, p));
+    const index_t nb = detail::pipeline_blocks(sz, p);
     const auto map = [=](index_t L) { return (L % n) * m + L / n; };
     const auto od = [&dst](index_t L) {
       return detail::owner_id_linear(dst, L);

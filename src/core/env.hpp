@@ -13,10 +13,9 @@
 ///                              warning.
 ///
 /// Every subsystem that reads a numeric knob (core/machine.cpp for DPF_VPS
-/// and DPF_WORKERS, the dpfd executor re-checking DPF_WORKERS between jobs)
-/// goes through this one helper so CLI runs and daemon jobs reject invalid
-/// values identically, and so the warning fires once per knob per process
-/// rather than once per read site.
+/// and DPF_WORKERS) goes through this one helper so invalid values are
+/// rejected identically everywhere, and so the warning fires once per knob
+/// per process rather than once per read site.
 
 namespace dpf::env {
 

@@ -148,7 +148,7 @@ class Registry {
 
   /// Closest registered names to a misspelled `name` (edit distance <= 2,
   /// or substring match), best first, at most `max_results`. Drives the
-  /// "did you mean" hints in dpfrun and the daemon's error frames.
+  /// "did you mean" hints in dpfrun.
   [[nodiscard]] std::vector<std::string> suggest(
       const std::string& name, std::size_t max_results = 3) const;
 

@@ -133,9 +133,8 @@ double probe_gamma() {
 double probe_delta() {
   constexpr index_t kSide = 128;
   constexpr index_t kElems = kSide * kSide;
-  // Library scratch, not user data: under DPF_NET=auto calibration can run
-  // lazily inside a benchmark's memory scope, and a User-kind probe array
-  // would inflate the benchmark's measured peak.
+  // Library scratch, not user data: a User-kind probe array would inflate
+  // the measured peak of any memory scope open around calibration.
   auto src = make_matrix<double>(kSide, kSide, MemKind::Temporary);
   auto dst = make_matrix<double>(kSide, kSide, MemKind::Temporary);
   for (index_t i = 0; i < kElems; ++i) src[i] = static_cast<double>(i);
@@ -213,9 +212,6 @@ void CostModel::calibrate(bool force) {
   }
   params_[b] = p;
   calibrated_[b] = true;
-  // These parameters were just measured live; any earlier cache-served
-  // install no longer describes what predict() uses.
-  set_calibration_from_cache(false);
 }
 
 int CostModel::hops(int a, int b) const {

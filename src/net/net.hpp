@@ -41,44 +41,12 @@ enum class Mode { Direct, Algorithmic, Overlap };
 /// per-backend calibration constants.
 enum class Backend { Local, Shm };
 
-/// Current mode from the DPF_NET environment variable (read per call so
-/// tests can flip it between collectives). `DPF_NET=auto` resolves to
-/// Direct here — the tuner's per-call choice is installed via ScopedMode by
-/// the dispatching primitive (mode_for), so everything nested under it
-/// (overlap() checks, annotate()) sees the decided mode through this same
-/// accessor.
+/// Current mode from the DPF_NET environment variable, read per call so
+/// tests can flip it between collectives. Each primitive reads it where it
+/// chooses its path; the three modes are manual cross-checks of each
+/// other, never chosen for speed. A set-but-unrecognized value ("auto"
+/// included) warns once on stderr and falls back to Direct.
 [[nodiscard]] Mode mode();
-
-/// True when DPF_NET=auto selects the autotuned dispatch (net/tune.hpp).
-[[nodiscard]] bool auto_enabled();
-
-/// The mode a dispatching primitive should run under: the innermost
-/// ScopedMode override if one is active (nested collectives inherit the
-/// outer decision), else the manual DPF_NET mode, else — under
-/// DPF_NET=auto — the tuner's choice for (pattern, message bytes).
-/// Control thread only, like the collectives themselves.
-[[nodiscard]] Mode mode_for(CommPattern pattern, std::uint64_t bytes);
-
-/// The DPF_NET label for reports and result keys: "auto" when the tuner
-/// drives dispatch (tuned runs must not be conflated with manual ones in
-/// caches or perf JSON), else mode_name(mode()).
-[[nodiscard]] const char* mode_label();
-
-/// RAII thread-local mode override. A dispatching primitive decides its
-/// mode once at the top (mode_for) and installs it for the whole call, so
-/// every nested mode()/algorithmic()/overlap() read — including the
-/// trailing CommLog record and its annotate() — sees the decided mode.
-/// Split-phase handles store the decided mode and re-scope their finish().
-class ScopedMode {
- public:
-  explicit ScopedMode(Mode m);
-  ~ScopedMode();
-  ScopedMode(const ScopedMode&) = delete;
-  ScopedMode& operator=(const ScopedMode&) = delete;
-
- private:
-  int prev_;
-};
 
 /// The DPF_NET spelling of a mode ("direct" | "algorithmic" | "overlap").
 [[nodiscard]] const char* mode_name(Mode m);
@@ -128,13 +96,5 @@ void annotate(CommEvent& e);
 /// Calibrates the cost model (idempotent; `force` re-runs the probes).
 /// Control thread only.
 void calibrate(bool force = false);
-
-/// Whether the currently installed cost-model parameters came from a
-/// persisted calibration cache (dpf::serve) rather than live probes. Live
-/// probing clears the flag; CalibrationCache::prime() sets it. Bench JSON
-/// emitters surface it as `calibration_cache_hit` so daemon-served runs
-/// are distinguishable in the artifacts.
-void set_calibration_from_cache(bool hit);
-[[nodiscard]] bool calibration_from_cache();
 
 }  // namespace dpf::net

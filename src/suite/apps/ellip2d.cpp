@@ -51,10 +51,7 @@ void apply_operator(Ellip2dState& s, const Array2<double>& p,
              s.cw[k] * vw;
     };
   };
-  if (Machine::instance().vps() > 1 &&
-      net::mode_for(CommPattern::Stencil,
-                    static_cast<std::uint64_t>(p.bytes())) !=
-          net::Mode::Direct) {
+  if (Machine::instance().vps() > 1 && net::algorithmic()) {
     // Interior-first: the 4-halo exchange posts as one bundle (one post +
     // one local region); the halo-independent interior of q computes while
     // the boundary messages fly, and only the thin block-edge shell waits

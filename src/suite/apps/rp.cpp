@@ -84,10 +84,7 @@ void apply(RpState& s, const Array3<double>& p, Array3<double>& q,
       return acc;
     };
   };
-  if (Machine::instance().vps() > 1 &&
-      net::mode_for(CommPattern::Stencil,
-                    static_cast<std::uint64_t>(p.bytes())) !=
-          net::Mode::Direct) {
+  if (Machine::instance().vps() > 1 && net::algorithmic()) {
     // Interior-first: all six face halos post as one bundle (one posting
     // region, one local region); the halo-independent interior of q runs
     // inside the in-flight window, the block-edge shell after the consume.

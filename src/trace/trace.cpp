@@ -61,7 +61,20 @@ std::atomic<int> g_level{-1};
 thread_local Ring* t_ring = nullptr;
 
 int init_level() {
-  const Mode m = parse_mode(std::getenv("DPF_TRACE"));
+  const char* s = std::getenv("DPF_TRACE");
+  const Mode m = parse_mode(s);
+  if (m == Mode::Off && s != nullptr && *s != '\0' &&
+      std::strcmp(s, "off") != 0) {
+    // Loud once, like DPF_NET and DPF_SIMD: a typo must not silently turn
+    // tracing off.
+    static std::atomic<bool> warned{false};
+    if (!warned.exchange(true, std::memory_order_relaxed)) {
+      std::fprintf(stderr,
+                   "dpf: ignoring DPF_TRACE=\"%s\" (expected "
+                   "off|summary|full); using default off\n",
+                   s);
+    }
+  }
   const int l = static_cast<int>(m);
   int expected = -1;
   g_level.compare_exchange_strong(expected, l, std::memory_order_relaxed);

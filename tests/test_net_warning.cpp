@@ -49,14 +49,8 @@ TEST_F(NetModeWarningTest, ValidValuesAndUnsetStaySilent) {
   EXPECT_EQ(net::Mode::Algorithmic, net::mode());
   setenv("DPF_NET", "overlap", 1);
   EXPECT_EQ(net::Mode::Overlap, net::mode());
-  // "auto" hands the choice to the tuner: mode() itself stays at the
-  // Direct default (dispatch goes through mode_for), silently.
-  setenv("DPF_NET", "auto", 1);
-  EXPECT_EQ(net::Mode::Direct, net::mode());
-  EXPECT_TRUE(net::auto_enabled());
   setenv("DPF_NET", "", 1);  // empty string counts as unset
   EXPECT_EQ(net::Mode::Direct, net::mode());
-  EXPECT_FALSE(net::auto_enabled());
   EXPECT_EQ("", testing::internal::GetCapturedStderr());
 }
 

@@ -7,23 +7,17 @@
 ///   dpfrun run <benchmark> [--version=basic|optimized|library|cmssl|cdpeac]
 ///                          [--vps=N] [--set key=value ...]
 ///                          [--trace FILE.json|FILE.csv]
-///                          [--report comm|trace|tune] [--checks-hex]
-///   dpfrun --daemon[=SOCKET] run <benchmark> [run options]
-///                                [--no-cache] [--timeout=SECONDS]
-///   dpfrun --daemon[=SOCKET] ping | stats | drain
+///                          [--report comm|trace] [--checks-hex]
 ///
-/// `--daemon` routes the command to a running dpfd (tools/dpfd.cpp) over
-/// its Unix socket instead of executing in-process: the submit carries the
-/// caller's DPF_NET / DPF_NET_BACKEND / DPF_SIMD / ... environment knobs,
-/// the daemon runs the job on its warm machine (or serves it straight from
-/// the content-addressed result store) and streams the frames back. Exit
-/// code 4 means the daemon was unreachable. `--checks-hex` appends each
-/// check value's raw IEEE-754 bit pattern to the output — the bit-identity
-/// comparison surface used to prove daemon-served results match one-shot
-/// runs exactly.
-///
-/// An unknown benchmark name exits with code 3 and a "did you mean"
-/// suggestion list (distinct from 2, the usage-error exit).
+/// `--vps` takes a whole number in [1, 4096] (the DPF_VPS range) and every
+/// `--set` value a whole number >= 0; anything else is a usage error (exit
+/// 2) naming the flag. Keys a benchmark does not declare are passed through:
+/// some runners read optional keys (qr's `dtype`, n-body's `variant`). An
+/// unknown benchmark name exits with code 3 and a "did you mean" suggestion
+/// list. A std::exception escaping the run prints `dpfrun: <name> failed:
+/// <what>` and exits 1. `--checks-hex` appends each check value's raw
+/// IEEE-754 bit pattern to the output, the surface for bit-identity
+/// comparisons across processes and modes.
 ///
 /// `list --long` adds each benchmark's category (comm/la/app), problem-size
 /// knobs and the default DPF_VPS. `--report comm` calibrates the fat-tree
@@ -44,12 +38,6 @@
 /// adds a router-pod status line, and a Chrome trace gains one "dpf net"
 /// track per router process with its delivery spans.
 ///
-/// DPF_NET=auto hands the mode decision to the dpf::tune autotuner: the
-/// cost model is calibrated, a short probe pass picks a mode per (pattern
-/// class, message size) cell, and the run dispatches through the resulting
-/// decision table. `--report tune` prints that table — chosen vs
-/// alternatives with predicted and measured costs per cell — after the run.
-///
 /// Examples:
 ///   dpfrun run conj-grad --set n=4096 --version=optimized
 ///   dpfrun run fft --set n=1024 --set dims=2 --vps=8
@@ -58,11 +46,12 @@
 ///   DPF_NET=overlap dpfrun run fem-3D --vps=16 --report comm
 ///   DPF_NET=algorithmic DPF_NET_BACKEND=shm dpfrun run fft --report comm
 
-#include <unistd.h>
-
+#include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <map>
 #include <string>
 #include <vector>
@@ -73,15 +62,11 @@
 #include "net/exchange_plan.hpp"
 #include "net/net.hpp"
 #include "net/proc.hpp"
-#include "net/tune.hpp"
 #include "net/shm_transport.hpp"
-#include "serve/client.hpp"
-#include "serve/json.hpp"
 #include "suite/register_all.hpp"
 #include "trace/chrome_export.hpp"
 #include "trace/summary.hpp"
 #include "trace/trace.hpp"
-#include "vec/vec.hpp"
 
 namespace {
 
@@ -125,14 +110,14 @@ int cmd_list(bool long_mode) {
   if (long_mode) {
     std::printf(
         "\nnet knobs (current values):\n"
-        "  DPF_NET=%s          direct|algorithmic|overlap|auto formulation\n"
+        "  DPF_NET=%s          direct|algorithmic|overlap formulation\n"
         "  DPF_NET_BACKEND=%s  local|shm transport (shm = multi-process "
         "router pod)\n"
         "  DPF_NET_PROCS=%d    router processes for the shm backend "
         "(0 = self-delivery)\n"
         "  DPF_NET_SHM_RING    per-pair ring bytes for the shm backend "
         "(default 4 MiB)\n",
-        net::mode_label(), net::backend_name(net::backend()),
+        net::mode_name(net::mode()), net::backend_name(net::backend()),
         net::proc::env_procs(Machine::instance().vps()));
   }
   return 0;
@@ -201,6 +186,28 @@ bool parse_version(const std::string& s, Version& out) {
   return true;
 }
 
+/// Parses all of `s` as a decimal integer in [lo, hi].
+bool parse_whole(const std::string& s, long long lo, long long hi,
+                 long long& out) {
+  if (s.empty() || (s[0] != '-' && (s[0] < '0' || s[0] > '9'))) return false;
+  errno = 0;
+  char* end = nullptr;
+  const long long v = std::strtoll(s.c_str(), &end, 10);
+  if (*end != '\0' || errno == ERANGE || v < lo || v > hi) return false;
+  out = v;
+  return true;
+}
+
+/// The raw IEEE-754 bit pattern of `v` as 16 hex digits.
+std::string double_bits_hex(double v) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof bits);
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016llx",
+                static_cast<unsigned long long>(bits));
+  return buf;
+}
+
 int cmd_run(const std::string& name, const std::vector<std::string>& args) {
   const auto* def = Registry::instance().find(name);
   if (def == nullptr) return unknown_benchmark(name);
@@ -208,7 +215,6 @@ int cmd_run(const std::string& name, const std::vector<std::string>& args) {
   std::string trace_path;
   bool report_comm = false;
   bool report_trace = false;
-  bool report_tune = false;
   bool checks_hex = false;
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string& a = args[i];
@@ -226,11 +232,9 @@ int cmd_run(const std::string& name, const std::vector<std::string>& args) {
         report_comm = true;
       } else if (what == "trace") {
         report_trace = true;
-      } else if (what == "tune") {
-        report_tune = true;
       } else {
         std::fprintf(stderr,
-                     "unknown report '%s' (supported: comm, trace, tune)\n",
+                     "unknown report '%s' (supported: comm, trace)\n",
                      what.c_str());
         return 2;
       }
@@ -240,7 +244,15 @@ int cmd_run(const std::string& name, const std::vector<std::string>& args) {
         return 2;
       }
     } else if (a.rfind("--vps=", 0) == 0) {
-      Machine::instance().configure(std::atoi(a.c_str() + 6));
+      long long vps = 0;
+      if (!parse_whole(a.substr(6), 1, 4096, vps)) {
+        std::fprintf(stderr,
+                     "dpfrun: --vps expects a whole number in [1, 4096], "
+                     "got '%s'\n",
+                     a.c_str() + 6);
+        return 2;
+      }
+      Machine::instance().configure(static_cast<int>(vps));
     } else if (a == "--set" && i + 1 < args.size()) {
       const std::string kv = args[++i];
       const auto eq = kv.find('=');
@@ -249,7 +261,16 @@ int cmd_run(const std::string& name, const std::vector<std::string>& args) {
                      kv.c_str());
         return 2;
       }
-      cfg.params[kv.substr(0, eq)] = std::atoll(kv.c_str() + eq + 1);
+      const std::string key = kv.substr(0, eq);
+      long long value = 0;
+      if (!parse_whole(kv.substr(eq + 1), 0, INT64_MAX, value)) {
+        std::fprintf(stderr,
+                     "dpfrun: --set %s expects a whole number >= 0, got "
+                     "'%s'\n",
+                     key.c_str(), kv.c_str() + eq + 1);
+        return 2;
+      }
+      cfg.params[key] = value;
     } else {
       std::fprintf(stderr, "unknown argument '%s'\n", a.c_str());
       return 2;
@@ -273,22 +294,8 @@ int cmd_run(const std::string& name, const std::vector<std::string>& args) {
   }
 
   // Calibrate the cost model before the run so every recorded event carries
-  // a prediction alongside its measured time. Tuned runs calibrate too —
-  // the tuner cross-checks model predictions against its measured probes.
-  if (report_comm || report_trace || chrome_trace || report_tune ||
-      net::auto_enabled()) {
-    net::calibrate();
-  }
-  if (report_tune || net::auto_enabled()) {
-    // Probe the decision table eagerly, outside the measured run. The SIMD
-    // recommendation is applied only when the user has not pinned DPF_SIMD
-    // themselves — an explicit knob always wins over the tuner.
-    net::Tuner::instance().ensure();
-    if (net::auto_enabled() && std::getenv("DPF_SIMD") == nullptr &&
-        net::Tuner::instance().ready()) {
-      vec::set_enabled(net::Tuner::instance().table().simd_on);
-    }
-  }
+  // a prediction alongside its measured time.
+  if (report_comm || report_trace || chrome_trace) net::calibrate();
 
   if (!trace_path.empty()) CommLog::instance().reset();
   if (chrome_trace || report_trace) trace::reset();
@@ -336,11 +343,10 @@ int cmd_run(const std::string& name, const std::vector<std::string>& args) {
   }
   if (checks_hex) {
     // Raw IEEE-754 bit patterns: the exact comparison surface for the
-    // daemon-vs-standalone bit-identity tests.
+    // cross-process bit-identity tests.
     std::printf("\nchecks-hex:\n");
     for (const auto& [k, v] : r.checks) {
-      std::printf("  %-22s %s\n", k.c_str(),
-                  serve::double_to_hex(v).c_str());
+      std::printf("  %-22s %s\n", k.c_str(), double_bits_hex(v).c_str());
     }
   }
   if (report_comm) {
@@ -368,7 +374,7 @@ int cmd_run(const std::string& name, const std::vector<std::string>& args) {
     std::printf(
         "\ncommunication report (DPF_NET=%s, backend %s, transport %s, "
         "%d VPs):\n",
-        net::mode_label(), net::backend_name(net::backend()),
+        net::mode_name(net::mode()), net::backend_name(net::backend()),
         tp.name(), Machine::instance().vps());
     const auto ts = tp.stats();
     std::printf("  transport traffic      : %llu messages, %llu bytes\n",
@@ -451,199 +457,8 @@ int cmd_run(const std::string& name, const std::vector<std::string>& args) {
   if (report_trace) {
     std::printf("\n%s", trace::format_trace_summary(trace_snap).c_str());
   }
-  if (report_tune) {
-    const net::Tuner& tuner = net::Tuner::instance();
-    std::printf("\nautotuner decision table (%s):\n",
-                net::Tuner::config_signature().c_str());
-    if (!tuner.ready()) {
-      std::printf("  (no decision table — probes could not run in this "
-                  "configuration)\n");
-    } else {
-      const net::TuneTable& t = tuner.table();
-      std::printf("  %-14s %9s  %-12s %6s  %s\n", "pattern class", "size",
-                  "chosen", "blocks", "measured/predicted per mode (ms)");
-      for (const auto& c : t.choices) {
-        std::string alts;
-        for (int m = 0; m < net::kTuneModes; ++m) {
-          char buf[96];
-          std::snprintf(buf, sizeof buf, "%s%s%s=%.3f/%.3f", m ? "  " : "",
-                        m == c.chosen ? "*" : "",
-                        net::mode_name(static_cast<net::Mode>(m)),
-                        c.measured[m] * 1e3, c.predicted[m] * 1e3);
-          alts += buf;
-        }
-        std::printf("  %-14s %6.0fKiB  %-12s %6d  %s\n",
-                    net::pattern_class_name(c.klass),
-                    static_cast<double>(1ull << c.log2_bytes) / 1024.0,
-                    net::mode_name(static_cast<net::Mode>(c.chosen)),
-                    c.blocks, alts.c_str());
-      }
-      std::printf("  simd recommendation    : %s (scalar/simd ratio %.2f)\n",
-                  t.simd_on ? "on" : "off", t.simd_ratio);
-    }
-  }
   const auto it = r.checks.find("residual");
   return (it != r.checks.end() && it->second > 1e-3) ? 1 : 0;
-}
-
-/// Exit code when the daemon socket is unreachable (distinct from run
-/// failures so wrappers can fall back to a local run).
-constexpr int kExitDaemonUnreachable = 4;
-
-void print_daemon_result(const serve::Json& f, bool checks_hex) {
-  const serve::Json& rec = f["record"];
-  const serve::Json& m = rec["metrics"];
-  std::printf("%s%s\n", f["benchmark"].as_string().c_str(),
-              f["cache_hit"].as_bool() ? "  [result-store hit]" : "");
-  std::printf("  busy time              : %.6f s\n",
-              m["busy_seconds"].as_number());
-  std::printf("  elapsed time           : %.6f s\n",
-              m["elapsed_seconds"].as_number());
-  std::printf("  busy rate              : %.2f MFLOPS\n",
-              m["busy_mflops"].as_number());
-  std::printf("  elapsed rate           : %.2f MFLOPS\n",
-              m["elapsed_mflops"].as_number());
-  std::printf("  served in              : %.6f s (cold run: %.6f s)\n",
-              f["serve_elapsed_s"].as_number(),
-              rec["cold_elapsed_s"].as_number());
-  std::printf("  address                : %s  checksum %s\n",
-              f["address"].as_string().c_str(),
-              f["checksum"].as_string().c_str());
-  if (f["calibration_cache_hit"].as_bool()) {
-    std::printf("  calibration            : from cache\n");
-  }
-  std::printf("checks:\n");
-  for (const auto& [k, v] : rec["checks"].as_object()) {
-    std::printf("  %-22s %.8g\n", k.c_str(), v["value"].as_number());
-  }
-  if (checks_hex) {
-    std::printf("checks-hex:\n");
-    for (const auto& [k, v] : rec["checks"].as_object()) {
-      std::printf("  %-22s %s\n", k.c_str(), v["bits"].as_string().c_str());
-    }
-  }
-}
-
-int cmd_daemon(const std::string& socket,
-               const std::vector<std::string>& args) {
-  serve::DaemonClient client;
-  std::string err;
-  if (!client.connect(socket, &err)) {
-    std::fprintf(stderr, "dpfrun: cannot reach dpfd: %s\n", err.c_str());
-    return kExitDaemonUnreachable;
-  }
-  if (args.empty()) {
-    std::fprintf(stderr,
-                 "usage: dpfrun --daemon[=SOCKET] run <name> [options] | "
-                 "ping | stats | drain\n");
-    return 2;
-  }
-  const std::string& cmd = args[0];
-  if (cmd == "ping" || cmd == "stats" || cmd == "drain") {
-    serve::Json req(serve::Json::Object{});
-    req.set("op", cmd);
-    const serve::Json reply = client.request(req, &err);
-    if (reply.is_null()) {
-      std::fprintf(stderr, "dpfrun: daemon request failed: %s\n",
-                   err.c_str());
-      return kExitDaemonUnreachable;
-    }
-    std::printf("%s\n", reply.dump().c_str());
-    return 0;
-  }
-  if (cmd != "run" || args.size() < 2) {
-    std::fprintf(stderr,
-                 "usage: dpfrun --daemon[=SOCKET] run <name> [options] | "
-                 "ping | stats | drain\n");
-    return 2;
-  }
-  serve::Json submit(serve::Json::Object{});
-  submit.set("op", "submit")
-      .set("client", "dpfrun-" + std::to_string(::getpid()))
-      .set("benchmark", args[1])
-      .set("knobs", serve::knob_snapshot_from_env());
-  serve::Json params(serve::Json::Object{});
-  bool checks_hex = false;
-  for (std::size_t i = 2; i < args.size(); ++i) {
-    const std::string& a = args[i];
-    if (a == "--checks-hex") {
-      checks_hex = true;
-    } else if (a == "--no-cache") {
-      submit.set("no_cache", true);
-    } else if (a == "--trace-summary") {
-      submit.set("trace", true);
-    } else if (a.rfind("--timeout=", 0) == 0) {
-      submit.set("timeout_seconds", std::atof(a.c_str() + 10));
-    } else if (a.rfind("--version=", 0) == 0) {
-      submit.set("version", a.substr(10));
-    } else if (a.rfind("--vps=", 0) == 0) {
-      submit.set("vps", std::atoi(a.c_str() + 6));
-    } else if (a == "--set" && i + 1 < args.size()) {
-      const std::string kv = args[++i];
-      const auto eq = kv.find('=');
-      if (eq == std::string::npos) {
-        std::fprintf(stderr, "--set expects key=value, got '%s'\n",
-                     kv.c_str());
-        return 2;
-      }
-      params.set(kv.substr(0, eq),
-                 static_cast<long long>(std::atoll(kv.c_str() + eq + 1)));
-    } else {
-      std::fprintf(stderr, "unknown argument '%s'\n", a.c_str());
-      return 2;
-    }
-  }
-  submit.set("params", std::move(params));
-  if (!client.send(submit, &err)) {
-    std::fprintf(stderr, "dpfrun: submit failed: %s\n", err.c_str());
-    return kExitDaemonUnreachable;
-  }
-  serve::Json final_frame;
-  const bool ok = client.stream(
-      [&](const serve::Json& f) {
-        const std::string& type = f["type"].as_string();
-        if (type == "queued") {
-          std::printf("queued as job %lld\n", f["job"].as_int());
-        } else if (type == "progress") {
-          std::printf("  [%lld/%lld] %s\n", f["index"].as_int() + 1,
-                      f["total"].as_int(),
-                      f["benchmark"].as_string().c_str());
-        } else if (type == "trace") {
-          std::printf("%s", f["summary"].as_string().c_str());
-        } else if (type == "result") {
-          print_daemon_result(f, checks_hex);
-        }
-      },
-      &final_frame, &err);
-  if (!ok) {
-    std::fprintf(stderr, "dpfrun: lost daemon connection: %s\n",
-                 err.c_str());
-    return kExitDaemonUnreachable;
-  }
-  const std::string& type = final_frame["type"].as_string();
-  if (type == "rejected") {
-    std::fprintf(stderr, "dpfd rejected the job: %s\n",
-                 final_frame["reason"].as_string().c_str());
-    return kExitDaemonUnreachable;
-  }
-  if (type == "error") {
-    const std::string& reason = final_frame["reason"].as_string();
-    std::fprintf(stderr, "dpfd: job failed: %s\n",
-                 reason.empty() ? final_frame.dump().c_str()
-                                : reason.c_str());
-    return 1;
-  }
-  if (final_frame.contains("error")) {
-    std::fprintf(stderr, "dpfd: %s", final_frame["error"].as_string().c_str());
-    std::string hint;
-    for (const auto& s : final_frame["suggestions"].as_array()) {
-      hint += hint.empty() ? "" : ", ";
-      hint += s.as_string();
-    }
-    if (!hint.empty()) std::fprintf(stderr, " (did you mean: %s?)", hint.c_str());
-    std::fprintf(stderr, "\n");
-  }
-  return static_cast<int>(final_frame["exit"].as_int(0));
 }
 
 }  // namespace
@@ -656,13 +471,6 @@ int main(int argc, char** argv) {
     return 2;
   }
   const std::string cmd = argv[1];
-  if (cmd == "--daemon" || cmd.rfind("--daemon=", 0) == 0) {
-    const std::string socket =
-        cmd.rfind("--daemon=", 0) == 0 ? cmd.substr(9) : std::string();
-    std::vector<std::string> args;
-    for (int i = 2; i < argc; ++i) args.emplace_back(argv[i]);
-    return cmd_daemon(socket, args);
-  }
   if (cmd == "list") {
     const bool long_mode = argc >= 3 && std::strcmp(argv[2], "--long") == 0;
     return cmd_list(long_mode);
@@ -671,7 +479,12 @@ int main(int argc, char** argv) {
   if (cmd == "run" && argc >= 3) {
     std::vector<std::string> args;
     for (int i = 3; i < argc; ++i) args.emplace_back(argv[i]);
-    return cmd_run(argv[2], args);
+    try {
+      return cmd_run(argv[2], args);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "dpfrun: %s failed: %s\n", argv[2], e.what());
+      return 1;
+    }
   }
   std::fprintf(stderr,
                "usage: dpfrun list | info <name> | run <name> [options]\n");
