@@ -18,13 +18,17 @@
 int main() {
   using namespace dpf;
   register_all_benchmarks();
-  const double peak = Machine::instance().peak_mflops();
-  std::printf("evaluating environment: %d VPs, peak %.0f MFLOPS\n\n",
-              Machine::instance().vps(), peak);
+  Machine& machine = Machine::instance();
+  const double core_peak = machine.core_peak_mflops();
+  std::printf("evaluating environment: %d VPs, peak %.0f MFLOPS "
+              "(%.0f per core x %d cores)\n\n",
+              machine.vps(), machine.peak_mflops(), core_peak,
+              machine.peak_cores());
 
   struct Scored {
     std::string name;
     double busy_mflops;
+    double efficiency_pct;
     double overhead;  // elapsed / busy
   };
   std::vector<Scored> scores;
@@ -40,7 +44,9 @@ int main() {
         basic.metrics.busy_seconds > 0
             ? basic.metrics.elapsed_seconds / basic.metrics.busy_seconds
             : 0.0;
-    scores.push_back({def->name, busy, overhead});
+    scores.push_back({def->name, busy,
+                      basic.metrics.arithmetic_efficiency_pct(core_peak),
+                      overhead});
 
     if (def->has_version(Version::Optimized) ||
         def->has_version(Version::Library) ||
@@ -69,11 +75,12 @@ int main() {
   }
 
   std::printf("\n-- environment report card --\n");
-  double best = 0, worst = 1e30;
+  double best = 0, best_efficiency = 0, worst = 1e30;
   std::string best_name, worst_name;
   for (const auto& s : scores) {
     if (s.busy_mflops > best) {
       best = s.busy_mflops;
+      best_efficiency = s.efficiency_pct;
       best_name = s.name;
     }
     if (s.busy_mflops > 0 && s.busy_mflops < worst) {
@@ -81,8 +88,9 @@ int main() {
       worst_name = s.name;
     }
   }
-  std::printf("highest busy rate : %-20s %.1f MFLOPS (%.1f%% of peak)\n",
-              best_name.c_str(), best, 100.0 * best / peak);
+  std::printf("highest busy rate : %-20s %.1f MFLOPS (%.1f%% arithmetic "
+              "efficiency)\n",
+              best_name.c_str(), best, best_efficiency);
   std::printf("lowest busy rate  : %-20s %.1f MFLOPS\n", worst_name.c_str(),
               worst);
   if (speedup_count > 0) {

@@ -38,6 +38,50 @@ inline void cpu_relax() {
 constexpr int kPauseSpins = 2048;
 constexpr int kYieldSpins = 64;
 
+int hardware_threads() {
+  return static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
+}
+
+// The peak probe's kernel: 6 independent 4-wide multiply chains and 6
+// independent 4-wide add chains, 48 FLOPs a trip. Twelve chains in flight
+// cover the FP pipelines' latency, so a trip runs at the core's throughput
+// rather than at one chain's latency. The chains stay in registers, so the
+// probe never touches memory.
+using Vec4 = double __attribute__((vector_size(32)));
+constexpr double kProbeFlopsPerTrip = 12 * 4;
+constexpr int kProbeTrips = 2'000;  // a few microseconds a slice
+constexpr int kProbeSlices = 2;     // a VP's rate is its best slice
+constexpr int kProbeVps = 64;       // VPs that sample: under 1 ms at any P
+
+// One VP's probe rate in MFLOPS. Every chain starts from its own value so
+// the compiler cannot merge chains that would otherwise compute the same
+// sequence.
+double probe_vp_mflops(int vp) {
+  const Vec4 mul = {0.9999999, 0.9999998, 0.9999997, 0.9999996};
+  const Vec4 add = {1e-7, 2e-7, 3e-7, 4e-7};
+  const double s = 1.0 + vp;
+  Vec4 m0 = mul * s, m1 = mul * (s + 1), m2 = mul * (s + 2);
+  Vec4 m3 = mul * (s + 3), m4 = mul * (s + 4), m5 = mul * (s + 5);
+  Vec4 a0 = add * s, a1 = add * (s + 1), a2 = add * (s + 2);
+  Vec4 a3 = add * (s + 3), a4 = add * (s + 4), a5 = add * (s + 5);
+  double best = 0.0;
+  for (int slice = 0; slice < kProbeSlices; ++slice) {
+    const auto t0 = clock_t_::now();
+    for (int i = 0; i < kProbeTrips; ++i) {
+      m0 *= mul; m1 *= mul; m2 *= mul; m3 *= mul; m4 *= mul; m5 *= mul;
+      a0 += add; a1 += add; a2 += add; a3 += add; a4 += add; a5 += add;
+    }
+    const double secs = seconds_between(t0, clock_t_::now());
+    if (secs > 0.0) {
+      best = std::max(best, kProbeFlopsPerTrip * kProbeTrips / secs / 1e6);
+    }
+  }
+  const Vec4 sum = m0 + m1 + m2 + m3 + m4 + m5 + a0 + a1 + a2 + a3 + a4 + a5;
+  volatile double sink = sum[0] + sum[1] + sum[2] + sum[3];
+  (void)sink;
+  return best;
+}
+
 }  // namespace
 
 Machine& Machine::instance() {
@@ -52,9 +96,7 @@ int Machine::default_vps() {
 // Worker-thread budget: DPF_WORKERS if set (useful for exercising the
 // multi-threaded barrier on single-core hosts), else hardware concurrency.
 int Machine::worker_budget() {
-  const int hw =
-      static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
-  return env::int_or("DPF_WORKERS", 1, 256, hw);
+  return env::int_or("DPF_WORKERS", 1, 256, hardware_threads());
 }
 
 Machine::Machine() { configure(default_vps()); }
@@ -232,44 +274,40 @@ void Machine::reset_busy() {
   for (auto& b : busy_) b.ns = 0.0;
 }
 
-double Machine::busy_seconds() const {
+double Machine::busy_core_seconds() const {
   double total = 0.0;
   for (const auto& b : busy_) total += b.ns;
-  return total / (1e9 * static_cast<double>(vps_));
+  return total / 1e9;
+}
+
+double Machine::busy_seconds() const {
+  return busy_core_seconds() / static_cast<double>(vps_);
+}
+
+double Machine::core_peak_mflops() {
+  if (core_peak_mflops_ > 0.0) return core_peak_mflops_;
+  // One region, so a fresh process also wakes its helper threads here, in
+  // set-up, rather than in its first timed region.
+  const auto t0 = clock_t_::now();
+  const auto n = static_cast<std::size_t>(std::min(vps_, kProbeVps));
+  std::vector<double> rates(n, 0.0);
+  spmd([&](int vp) {
+    const auto i = static_cast<std::size_t>(vp);
+    if (i < n) rates[i] = probe_vp_mflops(vp);
+  });
+  const auto mid = rates.begin() + static_cast<std::ptrdiff_t>(n / 2);
+  std::nth_element(rates.begin(), mid, rates.end());
+  core_peak_mflops_ = *mid;
+  peak_probe_s_ = seconds_between(t0, clock_t_::now());
+  return core_peak_mflops_;
+}
+
+int Machine::peak_cores() const {
+  return std::min(workers_, hardware_threads());
 }
 
 double Machine::peak_mflops() {
-  if (peak_mflops_ > 0.0) return peak_mflops_;
-  // Calibrate: a register-resident multiply-add loop on every VP. Each trip
-  // does 8 multiply-adds = 16 FLOPs.
-  constexpr std::int64_t kTrips = 2'000'000;
-  std::vector<double> rates(static_cast<std::size_t>(vps_), 0.0);
-  spmd([&](int vp) {
-    volatile double sink;
-    double a0 = 1.0 + vp, a1 = 1.1, a2 = 1.2, a3 = 1.3;
-    double b0 = 0.5, b1 = 0.25, b2 = 0.125, b3 = 0.0625;
-    const auto t0 = clock_t_::now();
-    for (std::int64_t i = 0; i < kTrips; ++i) {
-      a0 = a0 * 0.9999999 + b0;
-      a1 = a1 * 0.9999998 + b1;
-      a2 = a2 * 0.9999997 + b2;
-      a3 = a3 * 0.9999996 + b3;
-      b0 = b0 * 0.9999995 + a0;
-      b1 = b1 * 0.9999994 + a1;
-      b2 = b2 * 0.9999993 + a2;
-      b3 = b3 * 0.9999992 + a3;
-    }
-    const auto t1 = clock_t_::now();
-    sink = a0 + a1 + a2 + a3 + b0 + b1 + b2 + b3;
-    (void)sink;
-    const double secs = seconds_between(t0, t1);
-    rates[static_cast<std::size_t>(vp)] =
-        16.0 * static_cast<double>(kTrips) / secs / 1e6;
-  });
-  double total = 0.0;
-  for (double r : rates) total += r;
-  peak_mflops_ = total;
-  return peak_mflops_;
+  return core_peak_mflops() * static_cast<double>(peak_cores());
 }
 
 }  // namespace dpf

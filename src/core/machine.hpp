@@ -9,10 +9,12 @@
 /// of worker threads. Every data-parallel operation is an SPMD region: each
 /// VP executes the region body over its block of the distributed axis.
 ///
-/// The machine keeps *busy time* (time spent inside SPMD region bodies).
-/// The suite's "busy time" metric is the mean VP busy time, and "elapsed
-/// time" is wall-clock time — mirroring the CM-5 timers where busy time
-/// excludes idle/host-overhead periods.
+/// The machine keeps *busy time* (time spent inside SPMD region bodies),
+/// summed over its workers as core-seconds. The suite's "busy time" metric
+/// is the mean VP busy time (core-seconds / P), and "elapsed time" is
+/// wall-clock time — mirroring the CM-5 timers where busy time excludes
+/// idle/host-overhead periods. Arithmetic efficiency divides FLOPs by
+/// core-seconds times the measured per-core peak.
 ///
 /// Dispatch protocol (see DESIGN.md "Execution engine"): regions are
 /// published to a persistent worker pool through a generation counter and a
@@ -98,13 +100,31 @@ class Machine {
   /// Resets the busy-time accumulators.
   void reset_busy();
 
-  /// Mean per-VP busy time in seconds since the last reset_busy().
+  /// Region-body time summed over the workers (core-seconds) since the
+  /// last reset_busy(); at most elapsed time times workers().
+  [[nodiscard]] double busy_core_seconds() const;
+
+  /// Mean per-VP busy time in seconds since the last reset_busy(): the
+  /// paper's busy time, busy_core_seconds() / vps().
   [[nodiscard]] double busy_seconds() const;
 
-  /// Calibrated peak FLOP rate of the whole machine (MFLOPS), the analogue
-  /// of the CM-5's 32 MFLOPS-per-VU figure used for arithmetic efficiency.
-  /// Calibrated lazily by a fused multiply-add microkernel on every VP.
+  /// Peak FLOP rate of one core (MFLOPS): the median over VPs of a
+  /// register-resident 4-wide multiply/add throughput kernel, timed for a
+  /// few microseconds per VP in one SPMD region on the first call and
+  /// cached for the life of the process. It measures the host, so it does
+  /// not follow DPF_SIMD.
+  [[nodiscard]] double core_peak_mflops();
+
+  /// Cores the machine peak is scaled by: min(vps, workers, hardware
+  /// threads).
+  [[nodiscard]] int peak_cores() const;
+
+  /// Peak FLOP rate of the whole machine (MFLOPS), the analogue of the
+  /// CM-5's 32 MFLOPS per vector unit: core_peak_mflops() * peak_cores().
   [[nodiscard]] double peak_mflops();
+
+  /// Wall time of the peak probe in seconds (0 until it has run).
+  [[nodiscard]] double peak_probe_seconds() const { return peak_probe_s_; }
 
   /// Default VP count: DPF_VPS environment variable if set, else 4.
   [[nodiscard]] static int default_vps();
@@ -177,15 +197,16 @@ class Machine {
   std::vector<std::thread> pool_;
 
   /// Per-worker busy accumulators, cache-line padded. Slot 0 belongs to the
-  /// dispatching thread. busy_seconds() reports sum / vps (the per-VP mean;
-  /// chunked timing redistributes time among VPs inside one chunk but
-  /// preserves the sum).
+  /// dispatching thread. busy_core_seconds() reports the sum; busy_seconds()
+  /// the per-VP mean sum / vps (chunked timing redistributes time among VPs
+  /// inside one chunk but preserves the sum).
   struct alignas(64) BusySlot {
     double ns = 0.0;
   };
   std::vector<BusySlot> busy_;
 
-  double peak_mflops_ = 0.0;
+  double core_peak_mflops_ = 0.0;  ///< per core, so it survives configure()
+  double peak_probe_s_ = 0.0;
 };
 
 /// Runs `body(vp, block)` on every VP, where `block` is vp's block of [0,n).

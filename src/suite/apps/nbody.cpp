@@ -209,8 +209,8 @@ RunResult run_nbody(const RunConfig& cfg) {
   // padded to a power of two with zero-mass particles (Table 6's
   // "w/fill" rows, memory 20n + 36m). The optimized code version
   // defaults to the symmetry variant (fewest FLOPs).
-  const index_t variant =
-      cfg.get("variant", cfg.version == Version::Optimized ? 3 : 0);
+  const index_t variant = get_in_range(
+      cfg, "variant", cfg.version == Version::Optimized ? 3 : 0, 0, 7);
   const index_t iters = cfg.get("iters", 2);
   const bool fill = variant >= 4;
   const index_t base_variant = variant % 4;

@@ -5,6 +5,8 @@
 /// generators and metric plumbing.
 
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "core/array.hpp"
 #include "core/metrics.hpp"
@@ -43,6 +45,20 @@ inline Array2<double> random_dense(index_t n, index_t m, std::uint64_t seed,
 /// of a later writer to the same target. O(map size + dst size).
 index_t scatter_misses(const Array1<double>& dst, const Array1<double>& src,
                        const Array1<index_t>& map);
+
+/// cfg.get(key, fallback), or std::invalid_argument naming the key and its
+/// range when the value lies outside [lo, hi]: a knob that selects a code
+/// path must not silently run another one.
+inline index_t get_in_range(const RunConfig& cfg, const std::string& key,
+                            index_t fallback, index_t lo, index_t hi) {
+  const index_t v = cfg.get(key, fallback);
+  if (v < lo || v > hi) {
+    throw std::invalid_argument(key + " must be in [" + std::to_string(lo) +
+                                ", " + std::to_string(hi) + "], got " +
+                                std::to_string(v));
+  }
+  return v;
+}
 
 /// Runs `body` under a MetricScope and stores the result as a named segment.
 template <typename F>

@@ -12,8 +12,13 @@ namespace {
 
 RunResult run_fft(const RunConfig& cfg) {
   const index_t n = cfg.get("n", 256);
-  const index_t dims = cfg.get("dims", 1);
+  const index_t dims = get_in_range(cfg, "dims", 1, 1, 3);
   const index_t iters = cfg.get("iters", 4);
+  // The butterflies are radix-2.
+  if (n < 2 || (n & (n - 1)) != 0) {
+    throw std::invalid_argument("n must be a power of two >= 2, got " +
+                                std::to_string(n));
+  }
 
   RunResult res;
   memory::Scope mem;

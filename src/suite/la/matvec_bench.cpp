@@ -16,6 +16,7 @@ RunResult run_matvec(const RunConfig& cfg) {
   const index_t m = cfg.get("m", 128);
   const index_t iters = cfg.get("iters", 8);
   const index_t variant = cfg.get("variant", 1);
+  const bool is_complex = get_in_range(cfg, "dtype", 0, 0, 1) == 1;
 
   RunResult r;
   memory::Scope mem;  // covers every user array this benchmark declares
@@ -71,7 +72,7 @@ RunResult run_matvec(const RunConfig& cfg) {
   }
 
   // Complex-precision run (the paper's c/z rows): dtype parameter 1.
-  if (cfg.get("dtype", 0) == 1) {
+  if (is_complex) {
     Array2<complexd> a{Shape<2>(n, m)};
     Array1<complexd> x{Shape<1>(m)};
     Array1<complexd> y{Shape<1>(n)};

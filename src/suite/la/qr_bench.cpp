@@ -21,7 +21,7 @@ RunResult run_qr(const RunConfig& cfg) {
   memory::Scope mem;
 
   // Complex-precision run (the paper's c/z rows): dtype parameter 1.
-  if (cfg.get("dtype", 0) == 1) {
+  if (get_in_range(cfg, "dtype", 0, 0, 1) == 1) {
     Array2<complexd> a{Shape<2>(m, n)};
     Array2<complexd> xt{Shape<2>(n, r)};
     Array2<complexd> b{Shape<2>(m, r)};

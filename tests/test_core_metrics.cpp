@@ -67,11 +67,13 @@ TEST(Metrics, BusyNeverExceedsElapsedSubstantially) {
 TEST(Metrics, RatesComputedFromCounts) {
   Metrics m;
   m.busy_seconds = 0.5;
+  m.busy_core_seconds = 1.25;
   m.elapsed_seconds = 1.0;
   m.flop_count = 2'000'000;
   EXPECT_DOUBLE_EQ(m.busy_mflops(), 4.0);
   EXPECT_DOUBLE_EQ(m.elapsed_mflops(), 2.0);
-  EXPECT_DOUBLE_EQ(m.arithmetic_efficiency_pct(40.0), 10.0);
+  // Efficiency divides by core-seconds, not by the per-VP mean.
+  EXPECT_DOUBLE_EQ(m.arithmetic_efficiency_pct(40.0), 4.0);
 }
 
 TEST(Metrics, ZeroTimeYieldsZeroRate) {
@@ -188,6 +190,7 @@ TEST(Metrics, FormatContainsTheFourHeadlineMetrics) {
   m.flop_count = 1000;
   const std::string s = format_metrics("demo", m);
   EXPECT_NE(s.find("busy time"), std::string::npos);
+  EXPECT_NE(s.find("busy core time"), std::string::npos);
   EXPECT_NE(s.find("elapsed time"), std::string::npos);
   EXPECT_NE(s.find("busy floprate"), std::string::npos);
   EXPECT_NE(s.find("elapsed floprate"), std::string::npos);

@@ -1,0 +1,118 @@
+// Invariants of the derived metrics. For every benchmark at its defaults,
+// at DPF_VPS=16 with one worker and with four, and for the whole run and
+// every timed segment:
+//   - arithmetic efficiency (FLOPs over core-busy seconds times the per-core
+//     peak) is at most 100%;
+//   - core-busy seconds are at most elapsed seconds times the workers.
+// And the machine peak is the per-core peak times min(vps, workers, hardware
+// threads), following configure() without a second probe.
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdlib>
+#include <optional>
+#include <string>
+#include <thread>
+#include <utility>
+#include <vector>
+
+#include "core/machine.hpp"
+#include "core/registry.hpp"
+#include "suite/register_all.hpp"
+
+namespace dpf {
+namespace {
+
+int hardware_threads() {
+  return static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
+}
+
+/// Sets DPF_WORKERS and configures the machine at `vps` VPs; restores the
+/// variable and the VP count on exit, since the sanitizer legs run every
+/// test in one process.
+class ScopedMachine {
+ public:
+  ScopedMachine(int workers, int vps) : vps_(Machine::instance().vps()) {
+    if (const char* v = std::getenv("DPF_WORKERS")) workers_env_ = v;
+    setenv("DPF_WORKERS", std::to_string(workers).c_str(), 1);
+    Machine::instance().configure(vps);
+  }
+  ~ScopedMachine() {
+    if (workers_env_) {
+      setenv("DPF_WORKERS", workers_env_->c_str(), 1);
+    } else {
+      unsetenv("DPF_WORKERS");
+    }
+    Machine::instance().configure(vps_);
+  }
+  ScopedMachine(const ScopedMachine&) = delete;
+  ScopedMachine& operator=(const ScopedMachine&) = delete;
+
+ private:
+  int vps_;
+  std::optional<std::string> workers_env_;
+};
+
+void expect_invariants_for_all(int workers) {
+  ScopedMachine scoped(workers, 16);
+  Machine& machine = Machine::instance();
+  ASSERT_EQ(machine.workers(), workers);
+  register_all_benchmarks();
+  std::vector<std::pair<std::string, Metrics>> windows;
+  for (const auto* def : Registry::instance().all()) {
+    const RunResult r = def->run_with_defaults(RunConfig{});
+    windows.emplace_back(def->name, r.metrics);
+    for (const auto& [seg, m] : r.segments) {
+      windows.emplace_back(def->name + " segment " + seg, m);
+    }
+  }
+  ASSERT_GE(windows.size(), 32u);
+  // The peak is read after the runs: a process that probes right after
+  // the host idled must not deflate it.
+  const double core_peak = machine.core_peak_mflops();
+  ASSERT_GT(core_peak, 0.0);
+  for (const auto& [what, m] : windows) {
+    EXPECT_LE(m.arithmetic_efficiency_pct(core_peak), 100.0)
+        << what << ": " << m.flop_count << " FLOPs in "
+        << m.busy_core_seconds << " core-s against a " << core_peak
+        << " MFLOPS per-core peak";
+    EXPECT_LE(m.busy_core_seconds, m.elapsed_seconds * machine.workers())
+        << what << " at " << machine.workers() << " workers";
+  }
+}
+
+TEST(MetricInvariants, AllBenchmarksHoldAtOneWorker) {
+  expect_invariants_for_all(1);
+}
+
+TEST(MetricInvariants, AllBenchmarksHoldAtFourWorkers) {
+  expect_invariants_for_all(4);
+}
+
+TEST(MetricInvariants, PeakIsPerCorePeakTimesCores) {
+  for (int workers : {1, 4}) {
+    ScopedMachine scoped(workers, 16);
+    Machine& machine = Machine::instance();
+    const int cores = std::min({16, machine.workers(), hardware_threads()});
+    EXPECT_EQ(machine.peak_cores(), cores) << workers << " workers";
+    EXPECT_EQ(machine.peak_mflops(), machine.core_peak_mflops() * cores)
+        << workers << " workers";
+  }
+}
+
+TEST(MetricInvariants, PeakFollowsConfigureWithoutProbingAgain) {
+  ScopedMachine scoped(4, 16);
+  Machine& machine = Machine::instance();
+  const double core_peak = machine.core_peak_mflops();
+  const int hw = hardware_threads();
+  EXPECT_EQ(machine.peak_mflops(), core_peak * std::min(4, hw));
+  machine.configure(2);
+  const std::uint64_t serial = machine.region_serial();
+  const double peak2 = machine.peak_mflops();
+  EXPECT_EQ(machine.region_serial(), serial) << "peak probed again";
+  EXPECT_EQ(peak2, core_peak * std::min(2, hw));
+}
+
+}  // namespace
+}  // namespace dpf

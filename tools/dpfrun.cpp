@@ -12,10 +12,15 @@
 /// `--vps` takes a whole number in [1, 4096] (the DPF_VPS range) and every
 /// `--set` value a whole number >= 0; anything else is a usage error (exit
 /// 2) naming the flag. Keys a benchmark does not declare are passed through:
-/// some runners read optional keys (qr's `dtype`, n-body's `variant`). An
-/// unknown benchmark name exits with code 3 and a "did you mean" suggestion
-/// list. A std::exception escaping the run prints `dpfrun: <name> failed:
-/// <what>` and exits 1. `--checks-hex` appends each check value's raw
+/// some runners read optional keys (qr's `dtype`, n-body's `variant`). A
+/// value the runner cannot run (fft's n=3, qr's dtype=7) is a usage error
+/// too: `dpfrun: <name>: <rule>`, exit 2. An unknown benchmark name exits
+/// with code 3 and a "did you mean" suggestion list. Any other
+/// std::exception escaping the run prints `dpfrun: <name> failed: <what>`
+/// and exits 1. The metrics end with the arithmetic efficiency (FLOPs over
+/// busy core time times the per-core peak), the per-core peak, the cores
+/// the machine peak is scaled by and the peak probe's wall time.
+/// `--checks-hex` appends each check value's raw
 /// IEEE-754 bit pattern to the output, the surface for bit-identity
 /// comparisons across processes and modes.
 ///
@@ -53,6 +58,7 @@
 #include <cstring>
 #include <exception>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -306,9 +312,9 @@ int cmd_run(const std::string& name, const std::vector<std::string>& args) {
   const auto r = def->run_with_defaults(cfg);
   const MemoStats plans1 = net::plan_memo().stats();
   const MemoStats owners1 = comm::detail::owner_table_memo().stats();
-  // Flush the timeline once, before the peak-MFLOPS calibration below can
-  // append its own regions to the rings. The shm backend's router-process
-  // delivery timelines merge in as external tracks.
+  // Flush the timeline once, before the peak probe below can append its
+  // own region to the rings. The shm backend's router-process delivery
+  // timelines merge in as external tracks.
   trace::Snapshot trace_snap;
   if (chrome_trace || report_trace) {
     trace_snap = trace::collect();
@@ -330,12 +336,23 @@ int cmd_run(const std::string& name, const std::vector<std::string>& args) {
                    trace_path.c_str());
     }
   }
+  Machine& machine = Machine::instance();
+  const double core_peak = machine.core_peak_mflops();
+  const auto print_efficiency = [&](const Metrics& m) {
+    std::printf("  arithmetic efficiency  : %.2f%% of the per-core peak "
+                "over busy core time\n",
+                m.arithmetic_efficiency_pct(core_peak));
+  };
   std::printf("%s", format_metrics(name, r.metrics).c_str());
-  const double peak = Machine::instance().peak_mflops();
-  std::printf("  arithmetic efficiency  : %.2f%% of %.0f MFLOPS peak\n",
-              r.metrics.arithmetic_efficiency_pct(peak), peak);
+  print_efficiency(r.metrics);
+  std::printf("  per-core peak (MFLOPS) : %.1f\n", core_peak);
+  std::printf("  peak (MFLOPS)          : %.1f on %d cores\n",
+              machine.peak_mflops(), machine.peak_cores());
+  std::printf("  peak probe (sec.)      : %.6f\n",
+              machine.peak_probe_seconds());
   for (const auto& [seg, m] : r.segments) {
     std::printf("\n%s", format_metrics("segment " + seg, m).c_str());
+    print_efficiency(m);
   }
   std::printf("\nchecks:\n");
   for (const auto& [k, v] : r.checks) {
@@ -481,6 +498,11 @@ int main(int argc, char** argv) {
     for (int i = 3; i < argc; ++i) args.emplace_back(argv[i]);
     try {
       return cmd_run(argv[2], args);
+    } catch (const std::invalid_argument& e) {
+      // A runner rejected a --set value it cannot run (fft's n=3): a usage
+      // error, like a malformed flag.
+      std::fprintf(stderr, "dpfrun: %s: %s\n", argv[2], e.what());
+      return 2;
     } catch (const std::exception& e) {
       std::fprintf(stderr, "dpfrun: %s failed: %s\n", argv[2], e.what());
       return 1;
