@@ -1,7 +1,6 @@
 /// \file net_microbench.cpp
 /// Interconnect microbenchmarks for the dpf::net transport, in the style of
-/// the classic ping-pong / b_eff pair, run once per transport backend
-/// (DPF_NET_BACKEND=local and =shm):
+/// the classic ping-pong / b_eff pair:
 ///
 ///   * ping-pong — round-trip latency of one minimal message VP0 <-> VP1
 ///     (three SPMD regions per round), from which the cost model's alpha
@@ -10,15 +9,13 @@
 ///     neighbour under two patterns, the ring (v -> v+1) and a fixed random
 ///     permutation; following the b_eff methodology the effective bandwidth
 ///     is the mean aggregate posted-bytes/second over all (size, pattern)
-///     samples, exposing the latency-to-bandwidth crossover per backend.
+///     samples, exposing the latency-to-bandwidth crossover.
 ///
-/// The binary then runs the cost model's calibration probes per backend and
-/// prints the resulting constants, so a report's predicted-vs-measured
-/// columns can be traced back to these numbers — the shm backend's messages
-/// take a real cross-process store-and-verify hop, so its alpha/delta are
-/// genuinely larger. Machine-readable output goes to BENCH_net.json
-/// (override with DPF_BENCH_JSON or a path argument). `--smoke` shrinks
-/// rounds and sizes for CI.
+/// The binary then runs the cost model's calibration probes and prints the
+/// resulting constants, so a report's predicted-vs-measured columns can be
+/// traced back to these numbers. Machine-readable output goes to
+/// BENCH_net.json (override with DPF_BENCH_JSON or a path argument).
+/// `--smoke` shrinks rounds and sizes for CI.
 
 #include <chrono>
 #include <cstdio>
@@ -32,7 +29,6 @@
 #include "core/machine.hpp"
 #include "net/cost_model.hpp"
 #include "net/net.hpp"
-#include "net/shm_transport.hpp"
 
 namespace {
 
@@ -67,8 +63,8 @@ double now_pingpong(int rounds) {
          rounds;
 }
 
-/// A fixed pseudo-random permutation of [0, p): deterministic across runs
-/// and backends so both measure the same traffic pattern.
+/// A fixed pseudo-random permutation of [0, p): deterministic across runs,
+/// so every run measures the same traffic pattern.
 std::vector<int> random_permutation(int p) {
   std::vector<int> perm(static_cast<std::size_t>(p));
   std::iota(perm.begin(), perm.end(), 0);
@@ -130,10 +126,8 @@ SweepPoint pattern_bandwidth(const char* name, const std::vector<int>& dst,
   return pt;
 }
 
-/// Everything measured for one backend, for the report and the JSON dump.
-struct BackendResult {
-  const char* requested = "local";  ///< backend asked for via the env knob
-  std::string transport;            ///< what net::transport() actually gave
+/// Everything measured, for the report and the JSON dump.
+struct Result {
   int pingpong_rounds = 0;
   double round_trip_s = 0.0;
   std::vector<SweepPoint> sweep;
@@ -141,20 +135,14 @@ struct BackendResult {
   dpf::net::CostModel::Params params;
 };
 
-BackendResult run_backend(const char* name, bool smoke) {
-  setenv("DPF_NET_BACKEND", name, 1);
+Result run(bool smoke) {
   Machine& m = Machine::instance();
   const int p = m.vps();
-  BackendResult res;
-  res.requested = name;
-  res.transport = dpf::net::transport().name();
-
-  std::printf("\n=== backend %s (transport %s) ===\n", name,
-              res.transport.c_str());
+  Result res;
 
   res.pingpong_rounds = smoke ? 200 : 2000;
   res.round_trip_s = now_pingpong(res.pingpong_rounds);
-  std::printf("ping-pong VP0 <-> VP1 (%d rounds)\n", res.pingpong_rounds);
+  std::printf("\nping-pong VP0 <-> VP1 (%d rounds)\n", res.pingpong_rounds);
   std::printf("  round trip            : %.3f us\n", res.round_trip_s * 1e6);
   std::printf("  per message+region    : %.3f us\n",
               res.round_trip_s / 3.0 * 1e6);
@@ -194,7 +182,7 @@ BackendResult run_backend(const char* name, bool smoke) {
 
   dpf::net::calibrate(/*force=*/true);
   res.params = dpf::net::CostModel::instance().params();
-  std::printf("calibrated fat-tree cost model (backend %s)\n", name);
+  std::printf("calibrated fat-tree cost model\n");
   std::printf("  alpha (s/message)     : %.3e\n", res.params.alpha);
   std::printf("  beta  (s/byte)        : %.3e\n", res.params.beta);
   std::printf("  gamma (s/element)     : %.3e\n", res.params.gamma);
@@ -204,30 +192,27 @@ BackendResult run_backend(const char* name, bool smoke) {
   return res;
 }
 
-void json_backend(std::FILE* f, const BackendResult& r, bool last) {
-  std::fprintf(f, "    \"%s\": {\n", r.requested);
-  std::fprintf(f, "      \"transport\": \"%s\",\n", r.transport.c_str());
+void json_result(std::FILE* f, const Result& r) {
   std::fprintf(f,
-               "      \"pingpong\": {\"rounds\": %d, \"round_trip_s\": %.9e, "
+               "  \"pingpong\": {\"rounds\": %d, \"round_trip_s\": %.9e, "
                "\"per_region_s\": %.9e},\n",
                r.pingpong_rounds, r.round_trip_s, r.round_trip_s / 3.0);
-  std::fprintf(f, "      \"sweep\": [\n");
+  std::fprintf(f, "  \"sweep\": [\n");
   for (std::size_t i = 0; i < r.sweep.size(); ++i) {
     std::fprintf(f,
-                 "        {\"pattern\": \"%s\", \"bytes\": %zu, \"seconds\": "
+                 "    {\"pattern\": \"%s\", \"bytes\": %zu, \"seconds\": "
                  "%.9e, \"agg_mbps\": %.3f}%s\n",
                  r.sweep[i].pattern, r.sweep[i].bytes, r.sweep[i].seconds,
                  r.sweep[i].agg_mbps, i + 1 < r.sweep.size() ? "," : "");
   }
-  std::fprintf(f, "      ],\n");
-  std::fprintf(f, "      \"b_eff_mbps\": %.3f,\n", r.b_eff_mbps);
+  std::fprintf(f, "  ],\n");
+  std::fprintf(f, "  \"b_eff_mbps\": %.3f,\n", r.b_eff_mbps);
   std::fprintf(f,
-               "      \"cost_model\": {\"alpha\": %.9e, \"beta\": %.9e, "
+               "  \"cost_model\": {\"alpha\": %.9e, \"beta\": %.9e, "
                "\"gamma\": %.9e, \"delta\": %.9e, \"radix\": %d, "
                "\"contention\": %.3f}\n",
                r.params.alpha, r.params.beta, r.params.gamma, r.params.delta,
                r.params.radix, r.params.contention);
-  std::fprintf(f, "    }%s\n", last ? "" : ",");
 }
 
 }  // namespace
@@ -252,11 +237,7 @@ int main(int argc, char** argv) {
   std::printf("machine: %d virtual processors on %d workers\n", p,
               m.workers());
 
-  std::vector<BackendResult> results;
-  for (const char* backend : {"local", "shm"}) {
-    results.push_back(run_backend(backend, smoke));
-  }
-  unsetenv("DPF_NET_BACKEND");
+  const Result result = run(smoke);
 
   std::FILE* f = std::fopen(json_path.c_str(), "w");
   if (!f) {
@@ -265,33 +246,20 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::fprintf(f,
-               "{\n  \"schema_version\": 2,\n"
+               "{\n  \"schema_version\": 3,\n"
                "  \"machine\": {\"vps\": %d, \"workers\": %d},\n",
                p, m.workers());
-  std::fprintf(f, "  \"backends\": {\n");
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    json_backend(f, results[i], i + 1 == results.size());
-  }
-  std::fprintf(f, "  }\n}\n");
+  json_result(f, result);
+  std::fprintf(f, "}\n");
   std::fclose(f);
   std::printf("\nwrote %s\n", json_path.c_str());
 
-  // Internal consistency: every backend's calibration must yield positive
-  // constants, its sweep must have moved every posted byte, and the shm leg
-  // must actually have run over the shm transport (not the fallback).
-  for (const BackendResult& r : results) {
-    if (!(r.params.alpha > 0.0 && r.params.beta > 0.0 &&
-          r.params.gamma > 0.0 && r.params.delta > 0.0)) {
-      std::fprintf(stderr, "net_microbench: backend %s not calibrated\n",
-                   r.requested);
-      return 1;
-    }
-    if (r.transport != r.requested) {
-      std::fprintf(stderr,
-                   "net_microbench: backend %s fell back to transport %s\n",
-                   r.requested, r.transport.c_str());
-      return 1;
-    }
+  // Internal consistency: the calibration must yield positive constants,
+  // and the sweep must have fetched every posted message.
+  const auto& c = result.params;
+  if (!(c.alpha > 0.0 && c.beta > 0.0 && c.gamma > 0.0 && c.delta > 0.0)) {
+    std::fprintf(stderr, "net_microbench: cost model not calibrated\n");
+    return 1;
   }
   if (dpf::net::transport().pending() != 0) return 1;
   return 0;

@@ -205,8 +205,7 @@ int main(int argc, char** argv) {
   // With tracing enabled, export the whole run's timeline and print the
   // per-worker summary so CI artifacts carry a loadable trace.
   if (trace::mode() != trace::Mode::Off) {
-    auto snap = trace::collect();
-    dpf::net::merge_router_trace(snap);  // shm backend router tracks, if any
+    const auto snap = trace::collect();
     std::string trace_path = "BENCH_trace.json";
     if (const char* env = std::getenv("DPF_TRACE_JSON")) trace_path = env;
     if (trace::write_chrome_trace(trace_path, snap)) {

@@ -228,7 +228,6 @@ void Machine::spmd_raw(RegionFn fn, void* ctx) {
     // Single-worker fast path: a plain inline loop, no handshake at all.
     drain(fn, ctx, &busy_[0].ns);
     if (tracing) trace::region(serial, tr0, trace::now_ns(), vps_);
-    if (BarrierHook h = barrier_hook_.load(std::memory_order_acquire)) h();
     return;
   }
 
@@ -265,9 +264,6 @@ void Machine::spmd_raw(RegionFn fn, void* ctx) {
     }
   }
   if (tracing) trace::region(serial, tr0, trace::now_ns(), vps_);
-  // Region barrier: every worker has arrived, so no post/fetch is concurrent
-  // with whatever the hook does (the shm backend drains its rings here).
-  if (BarrierHook h = barrier_hook_.load(std::memory_order_acquire)) h();
 }
 
 void Machine::reset_busy() {
@@ -295,9 +291,9 @@ double Machine::core_peak_mflops() {
     const auto i = static_cast<std::size_t>(vp);
     if (i < n) rates[i] = probe_vp_mflops(vp);
   });
-  const auto mid = rates.begin() + static_cast<std::ptrdiff_t>(n / 2);
-  std::nth_element(rates.begin(), mid, rates.end());
-  core_peak_mflops_ = *mid;
+  // The fastest VP sets the peak: a stall or a throttled streak can only
+  // slow a slice down, never speed it up.
+  core_peak_mflops_ = *std::max_element(rates.begin(), rates.end());
   peak_probe_s_ = seconds_between(t0, clock_t_::now());
   return core_peak_mflops_;
 }

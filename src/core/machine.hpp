@@ -52,15 +52,6 @@ class Machine {
   /// without core depending on them.
   using ReconfigureHook = void (*)(int vps);
 
-  /// Called on the dispatching thread after every *top-level* SPMD region
-  /// completes (all workers arrived, before spmd_raw returns). Region
-  /// boundaries are the machine's only global barriers; a transport backend
-  /// whose delivery runs outside the worker pool (e.g. the multi-process
-  /// shared-memory backend) uses this hook to quiesce in-flight messages so
-  /// the post-in-region-k / fetch-in-region-k+1 happens-before edge holds
-  /// across OS processes too.
-  using BarrierHook = void (*)();
-
   /// Global machine instance. First access constructs a machine with
   /// `default_vps()` virtual processors.
   static Machine& instance();
@@ -108,7 +99,7 @@ class Machine {
   /// paper's busy time, busy_core_seconds() / vps().
   [[nodiscard]] double busy_seconds() const;
 
-  /// Peak FLOP rate of one core (MFLOPS): the median over VPs of a
+  /// Peak FLOP rate of one core (MFLOPS): the highest over VPs of a
   /// register-resident 4-wide multiply/add throughput kernel, timed for a
   /// few microseconds per VP in one SPMD region on the first call and
   /// cached for the life of the process. It measures the host, so it does
@@ -151,12 +142,6 @@ class Machine {
   /// hook runs on the configuring thread after the new pool is live.
   void set_reconfigure_hook(ReconfigureHook hook) { reconfigure_hook_ = hook; }
 
-  /// Installs the region-barrier hook (one slot; pass nullptr to clear).
-  /// Cost when unset is one relaxed load per region.
-  void set_barrier_hook(BarrierHook hook) {
-    barrier_hook_.store(hook, std::memory_order_release);
-  }
-
  private:
   Machine();
   void start_pool();
@@ -185,7 +170,6 @@ class Machine {
   std::atomic<bool> in_region_{false};
   std::atomic<std::uint64_t> region_serial_{0};
   ReconfigureHook reconfigure_hook_ = nullptr;
-  std::atomic<BarrierHook> barrier_hook_{nullptr};
 
   // --- park/wake slow path ---------------------------------------------
   std::mutex mu_;

@@ -22,24 +22,10 @@
 
 #include "core/comm_log.hpp"
 #include "net/transport.hpp"
-#include "trace/trace.hpp"
 
 namespace dpf::net {
 
 enum class Mode { Direct, Algorithmic, Overlap };
-
-/// Which Transport implementation carries the messages:
-///
-///   DPF_NET_BACKEND=local  in-process mailboxes (the default)
-///   DPF_NET_BACKEND=shm    shared-memory rings with delivery sharded
-///                          across DPF_NET_PROCS forked router processes
-///                          (shm_transport.hpp)
-///
-/// Orthogonal to DPF_NET: the mode picks the collective formulation, the
-/// backend picks what a post/fetch physically does. All backends are
-/// bit-identical; they differ in cost, which is why the cost model keeps
-/// per-backend calibration constants.
-enum class Backend { Local, Shm };
 
 /// Current mode from the DPF_NET environment variable, read per call so
 /// tests can flip it between collectives. Each primitive reads it where it
@@ -51,14 +37,6 @@ enum class Backend { Local, Shm };
 /// The DPF_NET spelling of a mode ("direct" | "algorithmic" | "overlap").
 [[nodiscard]] const char* mode_name(Mode m);
 
-/// Current backend from the DPF_NET_BACKEND environment variable (read per
-/// call, like mode()). A set-but-unrecognized value warns once on stderr
-/// and falls back to Backend::Local.
-[[nodiscard]] Backend backend();
-
-/// The DPF_NET_BACKEND spelling of a backend ("local" | "shm").
-[[nodiscard]] const char* backend_name(Backend b);
-
 /// True when a message-passing formulation is selected (algorithmic or
 /// overlap): every primitive with an index-map reformulation routes through
 /// the transport exchange engine.
@@ -67,19 +45,11 @@ enum class Backend { Local, Shm };
 /// True when the split-phase (overlap) formulation is selected.
 [[nodiscard]] inline bool overlap() { return mode() == Mode::Overlap; }
 
-/// The process-wide transport of the selected backend, sized to the
-/// machine's VP grid. First use installs the Machine reconfigure hook so
-/// the mailboxes resize (dropping stale messages) whenever the VP count
-/// changes; selecting the shm backend additionally installs the machine's
-/// region-barrier hook (the cross-process quiesce). If the shm backend
-/// cannot start (arena refused, fork failed hard), falls back to the local
-/// transport with a one-shot stderr warning.
+/// The process-wide transport, sized to the machine's VP grid. First use
+/// installs the Machine reconfigure hook so the mailboxes resize (dropping
+/// stale messages) whenever the VP count changes, and warns once on stderr
+/// if the retired DPF_NET_BACKEND knob asks for anything but `local`.
 [[nodiscard]] Transport& transport();
-
-/// Appends the shm backend's router-process delivery timelines to a trace
-/// snapshot (no-op under the local backend). Export paths call this after
-/// trace::collect() so cross-process activity shows up in the merge.
-void merge_router_trace(trace::Snapshot& snap);
 
 /// Allocates a fresh message tag (control thread only — collectives reserve
 /// their tags before entering the posting region).

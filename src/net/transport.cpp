@@ -1,4 +1,4 @@
-#include "net/local_transport.hpp"
+#include "net/transport.hpp"
 
 #include <cassert>
 #include <cstring>
@@ -9,15 +9,15 @@
 
 namespace dpf::net {
 
-void LocalTransport::resize(int endpoints) {
+void Transport::resize(int endpoints) {
   if (endpoints < 1) endpoints = 1;
   p_ = endpoints;
   boxes_.assign(
       static_cast<std::size_t>(p_) * static_cast<std::size_t>(p_), Mailbox{});
 }
 
-void LocalTransport::post(int src, int dst, std::uint64_t tag,
-                          const void* data, std::size_t bytes) {
+void Transport::post(int src, int dst, std::uint64_t tag, const void* data,
+                     std::size_t bytes) {
   assert(src >= 0 && src < p_ && dst >= 0 && dst < p_);
   const bool tracing = trace::enabled(trace::Mode::Full);
   const std::uint64_t t0 = tracing ? trace::now_ns() : 0;
@@ -39,8 +39,8 @@ void LocalTransport::post(int src, int dst, std::uint64_t tag,
   }
 }
 
-bool LocalTransport::try_fetch(int dst, int src, std::uint64_t tag, void* data,
-                               std::size_t bytes) {
+bool Transport::try_fetch(int dst, int src, std::uint64_t tag, void* data,
+                          std::size_t bytes) {
   assert(src >= 0 && src < p_ && dst >= 0 && dst < p_);
   const bool tracing = trace::enabled(trace::Mode::Full);
   const std::uint64_t t0 = tracing ? trace::now_ns() : 0;
@@ -65,8 +65,7 @@ bool LocalTransport::try_fetch(int dst, int src, std::uint64_t tag, void* data,
   return false;
 }
 
-std::ptrdiff_t LocalTransport::probe(int dst, int src,
-                                     std::uint64_t tag) const {
+std::ptrdiff_t Transport::probe(int dst, int src, std::uint64_t tag) const {
   assert(src >= 0 && src < p_ && dst >= 0 && dst < p_);
   const Mailbox& mb = box(src, dst);
   for (const Slot& s : mb.slots) {
@@ -75,13 +74,13 @@ std::ptrdiff_t LocalTransport::probe(int dst, int src,
   return -1;
 }
 
-std::uint64_t LocalTransport::pending() const {
+std::uint64_t Transport::pending() const {
   std::uint64_t n = 0;
   for (const Mailbox& mb : boxes_) n += mb.slots.size();
   return n;
 }
 
-TransportStats LocalTransport::stats() const {
+TransportStats Transport::stats() const {
   TransportStats total;
   for (const Mailbox& mb : boxes_) {
     total.messages += mb.posted.messages;
@@ -90,7 +89,7 @@ TransportStats LocalTransport::stats() const {
   return total;
 }
 
-void LocalTransport::reset() {
+void Transport::reset() {
   for (Mailbox& mb : boxes_) {
     for (Slot& s : mb.slots) mb.spare.push_back(std::move(s.payload));
     mb.slots.clear();

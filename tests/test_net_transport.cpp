@@ -12,7 +12,6 @@
 
 #include "comm/comm.hpp"
 #include "core/machine.hpp"
-#include "net/local_transport.hpp"
 #include "net/net.hpp"
 
 namespace dpf {
@@ -104,12 +103,36 @@ TEST_F(NetTransportTest, SameTagIsFifo) {
   EXPECT_EQ(got2, second);
 }
 
-// LocalTransport recycles fetched payload buffers into later posts of
+TEST_F(NetTransportTest, TagCollisionsAcrossSourcesStayApart) {
+  // Identical tag from every source to one destination: the (src, dst, tag)
+  // mailboxes must not cross-talk.
+  Machine& m = Machine::instance();
+  net::Transport& t = net::transport();
+  const std::uint64_t tag = net::next_tag();
+  m.spmd([&](int v) {
+    if (v != 3) {
+      const double payload = 100.0 + v;
+      t.post(v, 3, tag, &payload, sizeof(payload));
+    }
+  });
+  m.spmd([&](int v) {
+    if (v == 3) {
+      for (int src = 0; src < 3; ++src) {
+        double got = 0.0;
+        EXPECT_TRUE(t.try_fetch(3, src, tag, &got, sizeof(got)));
+        EXPECT_EQ(got, 100.0 + src);
+      }
+    }
+  });
+  EXPECT_EQ(t.pending(), 0u);
+}
+
+// The transport recycles fetched payload buffers into later posts of
 // other sizes; one tag still delivers first-posted first, each with its
 // own bytes.
 TEST_F(NetTransportTest, SameTagIsFifoWithRecycledBuffers) {
   Machine& m = Machine::instance();
-  net::LocalTransport t(m.vps());
+  net::Transport t(m.vps());
   const std::uint64_t warm = net::next_tag();
   const std::vector<int> big(33, -1);
   m.spmd([&](int v) {
@@ -145,7 +168,7 @@ TEST_F(NetTransportTest, SameTagIsFifoWithRecycledBuffers) {
 // then a reset with messages queued, then traffic after the reset.
 TEST_F(NetTransportTest, StatsAndPendingExactWithRecycledBuffers) {
   Machine& m = Machine::instance();
-  net::LocalTransport t(m.vps());
+  net::Transport t(m.vps());
   const int p = m.vps();
   std::uint64_t messages = 0, bytes = 0;
   const std::size_t sizes[] = {3, 40, 1, 17, 0, 64};

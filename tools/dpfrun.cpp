@@ -38,10 +38,6 @@
 /// formulations, or DPF_NET=overlap for the split-phase variants — the
 /// comm report then adds the per-pattern `overlap s` column (time payload
 /// sat in flight behind caller compute) and a split-phase event summary.
-/// DPF_NET_BACKEND=shm routes the messages through the multi-process
-/// shared-memory transport; the comm report header names the backend and
-/// adds a router-pod status line, and a Chrome trace gains one "dpf net"
-/// track per router process with its delivery spans.
 ///
 /// Examples:
 ///   dpfrun run conj-grad --set n=4096 --version=optimized
@@ -49,7 +45,6 @@
 ///   dpfrun run lu --trace lu.json
 ///   DPF_NET=algorithmic dpfrun run transpose --vps=16 --report comm
 ///   DPF_NET=overlap dpfrun run fem-3D --vps=16 --report comm
-///   DPF_NET=algorithmic DPF_NET_BACKEND=shm dpfrun run fft --report comm
 
 #include <cerrno>
 #include <cstdint>
@@ -67,8 +62,6 @@
 #include "core/registry.hpp"
 #include "net/exchange_plan.hpp"
 #include "net/net.hpp"
-#include "net/proc.hpp"
-#include "net/shm_transport.hpp"
 #include "suite/register_all.hpp"
 #include "trace/chrome_export.hpp"
 #include "trace/summary.hpp"
@@ -115,16 +108,9 @@ int cmd_list(bool long_mode) {
   }
   if (long_mode) {
     std::printf(
-        "\nnet knobs (current values):\n"
-        "  DPF_NET=%s          direct|algorithmic|overlap formulation\n"
-        "  DPF_NET_BACKEND=%s  local|shm transport (shm = multi-process "
-        "router pod)\n"
-        "  DPF_NET_PROCS=%d    router processes for the shm backend "
-        "(0 = self-delivery)\n"
-        "  DPF_NET_SHM_RING    per-pair ring bytes for the shm backend "
-        "(default 4 MiB)\n",
-        net::mode_name(net::mode()), net::backend_name(net::backend()),
-        net::proc::env_procs(Machine::instance().vps()));
+        "\nnet knob (current value):\n"
+        "  DPF_NET=%s  direct|algorithmic|overlap formulation\n",
+        net::mode_name(net::mode()));
   }
   return 0;
 }
@@ -313,13 +299,9 @@ int cmd_run(const std::string& name, const std::vector<std::string>& args) {
   const MemoStats plans1 = net::plan_memo().stats();
   const MemoStats owners1 = comm::detail::owner_table_memo().stats();
   // Flush the timeline once, before the peak probe below can append its
-  // own region to the rings. The shm backend's router-process delivery
-  // timelines merge in as external tracks.
+  // own region to the rings.
   trace::Snapshot trace_snap;
-  if (chrome_trace || report_trace) {
-    trace_snap = trace::collect();
-    net::merge_router_trace(trace_snap);
-  }
+  if (chrome_trace || report_trace) trace_snap = trace::collect();
   if (chrome_trace) {
     if (trace::write_chrome_trace(trace_path, trace_snap)) {
       std::printf("timeline trace written to %s (open in Perfetto)\n",
@@ -387,13 +369,9 @@ int cmd_run(const std::string& name, const std::vector<std::string>& args) {
       a.overlap += e.overlap_seconds;
       a.predicted += e.predicted_seconds;
     }
-    net::Transport& tp = net::transport();
-    std::printf(
-        "\ncommunication report (DPF_NET=%s, backend %s, transport %s, "
-        "%d VPs):\n",
-        net::mode_name(net::mode()), net::backend_name(net::backend()),
-        tp.name(), Machine::instance().vps());
-    const auto ts = tp.stats();
+    std::printf("\ncommunication report (DPF_NET=%s, %d VPs):\n",
+                net::mode_name(net::mode()), Machine::instance().vps());
+    const auto ts = net::transport().stats();
     std::printf("  transport traffic      : %llu messages, %llu bytes\n",
                 static_cast<unsigned long long>(ts.messages),
                 static_cast<unsigned long long>(ts.bytes));
@@ -408,17 +386,6 @@ int cmd_run(const std::string& name, const std::vector<std::string>& args) {
     };
     memo_line("exchange plans", plans0, plans1);
     memo_line("owner tables", owners0, owners1);
-    if (net::ShmTransport::created() &&
-        net::ShmTransport::instance().running()) {
-      const auto& s = net::ShmTransport::instance();
-      std::printf(
-          "  shm backend            : %d router procs, %llu B/pair ring, "
-          "%llu delivered, %llu overflowed, %llu respawns\n",
-          s.procs(), static_cast<unsigned long long>(s.ring_capacity()),
-          static_cast<unsigned long long>(s.delivered_messages()),
-          static_cast<unsigned long long>(s.overflow_posts()),
-          static_cast<unsigned long long>(s.respawns()));
-    }
     std::printf("  %-20s %5s %8s %12s %12s %12s %12s %12s %8s\n", "pattern",
                 "ranks", "count", "bytes", "offproc B", "measured s",
                 "overlap s", "predicted s", "ovl eff");
