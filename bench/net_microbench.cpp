@@ -14,12 +14,11 @@
 /// The binary then runs the cost model's calibration probes and prints the
 /// resulting constants, so a report's predicted-vs-measured columns can be
 /// traced back to these numbers. Machine-readable output goes to
-/// BENCH_net.json (override with DPF_BENCH_JSON or a path argument).
-/// `--smoke` shrinks rounds and sizes for CI.
+/// BENCH_net.json or the path argument; the binary exits 1 when it cannot
+/// write it. `--smoke` shrinks rounds and sizes for CI.
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <numeric>
 #include <string>
@@ -220,7 +219,6 @@ void json_result(std::FILE* f, const Result& r) {
 int main(int argc, char** argv) {
   bool smoke = false;
   std::string json_path = "BENCH_net.json";
-  if (const char* env = std::getenv("DPF_BENCH_JSON")) json_path = env;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
@@ -239,19 +237,22 @@ int main(int argc, char** argv) {
 
   const Result result = run(smoke);
 
-  std::FILE* f = std::fopen(json_path.c_str(), "w");
-  if (!f) {
+  bool wrote = false;
+  if (std::FILE* f = std::fopen(json_path.c_str(), "w")) {
+    std::fprintf(f,
+                 "{\n  \"schema_version\": 3,\n"
+                 "  \"machine\": {\"vps\": %d, \"workers\": %d},\n",
+                 p, m.workers());
+    json_result(f, result);
+    std::fprintf(f, "}\n");
+    wrote = !std::ferror(f);
+    wrote = std::fclose(f) == 0 && wrote;
+  }
+  if (!wrote) {
     std::fprintf(stderr, "net_microbench: cannot write %s\n",
                  json_path.c_str());
     return 1;
   }
-  std::fprintf(f,
-               "{\n  \"schema_version\": 3,\n"
-               "  \"machine\": {\"vps\": %d, \"workers\": %d},\n",
-               p, m.workers());
-  json_result(f, result);
-  std::fprintf(f, "}\n");
-  std::fclose(f);
   std::printf("\nwrote %s\n", json_path.c_str());
 
   // Internal consistency: the calibration must yield positive constants,

@@ -9,7 +9,7 @@
 /// memory-usage metric unless the array is marked MemKind::Temporary (the
 /// stand-in for a compiler temporary, which the paper's accounting excludes).
 /// Temporary arrays of trivially-copyable element types draw their backing
-/// store from dpf::TemporaryPool (opt out with DPF_NO_POOL=1).
+/// store from dpf::TemporaryPool.
 
 #include <algorithm>
 #include <cassert>
@@ -103,7 +103,7 @@ class ElemBuffer {
       return;
     }
     if constexpr (kPoolable) {
-      if (kind == MemKind::Temporary && TemporaryPool::enabled()) {
+      if (kind == MemKind::Temporary) {
         p_ = static_cast<T*>(
             TemporaryPool::instance().acquire(n * sizeof(T), cap_));
       } else {

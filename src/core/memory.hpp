@@ -11,7 +11,6 @@
 #include <atomic>
 #include <bit>
 #include <cstdint>
-#include <cstdlib>
 #include <mutex>
 #include <new>
 #include <vector>
@@ -89,21 +88,11 @@ class Scope {
 /// size class, so `cshift(...)`-style expression temporaries in the app
 /// kernels stop hitting the allocator (and re-faulting fresh pages) every
 /// iteration. Blocks are raw byte buffers; callers zero-fill as needed.
-/// Disable with DPF_NO_POOL=1 for A/B measurement.
 class TemporaryPool {
  public:
   static TemporaryPool& instance() {
     static TemporaryPool p;
     return p;
-  }
-
-  /// Whether pooling is enabled (DPF_NO_POOL unset or != "1"). Read once.
-  [[nodiscard]] static bool enabled() {
-    static const bool on = [] {
-      const char* env = std::getenv("DPF_NO_POOL");
-      return env == nullptr || env[0] != '1';
-    }();
-    return on;
   }
 
   struct Stats {

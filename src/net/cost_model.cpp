@@ -4,7 +4,6 @@
 #include <cassert>
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
 #include <vector>
 
 #include "comm/detail.hpp"
@@ -35,14 +34,6 @@ bool is_pow2(int p) { return p > 0 && (p & (p - 1)) == 0; }
 /// Rounds of the allgather used by the algorithmic reduce/scan paths:
 /// recursive doubling for power-of-two P, a ring otherwise.
 int allgather_rounds(int p) { return is_pow2(p) ? log2_ceil(p) : p - 1; }
-
-double env_override(const char* name, double fallback) {
-  if (const char* s = std::getenv(name)) {
-    const double v = std::atof(s);
-    if (v > 0.0) return v;
-  }
-  return fallback;
-}
 
 /// Probe: per-message latency via a transport ping-pong between VP 0 and 1
 /// (two regions and two messages per round trip). Falls back to empty-region
@@ -178,21 +169,12 @@ void CostModel::calibrate(bool force) {
   if (calibrated_ && !force) return;
   assert(!Machine::instance().inside_region());
   Params p;
-  p.radix = static_cast<int>(env_override("DPF_NET_RADIX", 4.0));
-  p.contention = env_override("DPF_NET_CONTENTION", 0.33);
-  // Probes unless overridden from the environment.
-  p.alpha = env_override("DPF_NET_ALPHA", 0.0);
-  p.beta = env_override("DPF_NET_BETA", 0.0);
-  p.gamma = env_override("DPF_NET_GAMMA", 0.0);
-  p.delta = env_override("DPF_NET_DELTA", 0.0);
-  if (p.alpha <= 0.0) p.alpha = probe_alpha();
-  if (p.beta <= 0.0) p.beta = probe_beta();
-  if (p.gamma <= 0.0) p.gamma = probe_gamma();
-  if (p.delta <= 0.0) {
-    // The exchange engine needs at least two endpoints; on a 1-VP machine
-    // fall back to a routing-scan estimate (the engine is unused there).
-    p.delta = Machine::instance().vps() >= 2 ? probe_delta() : 8.0 * p.gamma;
-  }
+  p.alpha = probe_alpha();
+  p.beta = probe_beta();
+  p.gamma = probe_gamma();
+  // The exchange engine needs at least two endpoints; on a 1-VP machine
+  // fall back to a routing-scan estimate (the engine is unused there).
+  p.delta = Machine::instance().vps() >= 2 ? probe_delta() : 8.0 * p.gamma;
   params_ = p;
   calibrated_ = true;
 }

@@ -22,10 +22,9 @@
 /// whole machine), gamma (per-element routing cost) and delta (end-to-end
 /// per-element cost of the message-passing exchange engine) are calibrated
 /// by microbenchmark probes — a transport ping-pong, a block-distributed
-/// copy sweep, an ownership-scan and a real planned exchange — or overridden
-/// with DPF_NET_ALPHA, DPF_NET_BETA, DPF_NET_GAMMA, DPF_NET_DELTA,
-/// DPF_NET_RADIX and DPF_NET_CONTENTION. Until calibrate() runs,
-/// predictions stay 0 and only hop counts are annotated.
+/// copy sweep, an ownership-scan and a real planned exchange; radix and
+/// contention keep their defaults. set_params() replaces all six. Until
+/// calibrate() runs, predictions stay 0 and only hop counts are annotated.
 
 #include <mutex>
 
@@ -53,7 +52,7 @@ class CostModel {
   /// True once calibrate() or set_params() has run.
   [[nodiscard]] bool calibrated() const { return calibrated_; }
 
-  /// The calibrated (or overridden) parameters.
+  /// The calibrated (or set) parameters.
   [[nodiscard]] const Params& params() const { return params_; }
 
   /// Overrides the parameters (tests, offline what-if analysis).

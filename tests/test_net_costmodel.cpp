@@ -1,5 +1,5 @@
 // Tests for the CM-5-style fat-tree cost model: hop-distance properties,
-// calibration, environment overrides, and prediction sanity. Prediction
+// calibration, set_params, and prediction sanity. Prediction
 // accuracy against wall time is validated by `dpfrun --report comm` and the
 // net_microbench target; here we only pin the model's structural
 // invariants, which must hold on any host.
@@ -21,21 +21,9 @@ class NetCostModelTest : public ::testing::Test {
   void SetUp() override {
     setenv("DPF_WORKERS", "4", 1);
     unsetenv("DPF_NET");
-    unsetenv("DPF_NET_ALPHA");
-    unsetenv("DPF_NET_BETA");
-    unsetenv("DPF_NET_GAMMA");
-    unsetenv("DPF_NET_DELTA");
-    unsetenv("DPF_NET_RADIX");
-    unsetenv("DPF_NET_CONTENTION");
     Machine::instance().configure(16);
   }
   void TearDown() override {
-    unsetenv("DPF_NET_ALPHA");
-    unsetenv("DPF_NET_BETA");
-    unsetenv("DPF_NET_GAMMA");
-    unsetenv("DPF_NET_DELTA");
-    unsetenv("DPF_NET_RADIX");
-    unsetenv("DPF_NET_CONTENTION");
     Machine::instance().configure(4);
     // Leave the singleton in a sane calibrated state for whoever runs next.
     net::CostModel::instance().calibrate(/*force=*/true);
@@ -92,19 +80,14 @@ TEST_F(NetCostModelTest, CalibrationYieldsPositiveParams) {
   EXPECT_GE(p.contention, 0.0);
 }
 
-TEST_F(NetCostModelTest, EnvironmentOverridesWin) {
-  setenv("DPF_NET_ALPHA", "1.5e-6", 1);
-  setenv("DPF_NET_BETA", "2.5e-10", 1);
-  setenv("DPF_NET_RADIX", "8", 1);
+TEST_F(NetCostModelTest, SetParamsRadixSetsHopDistance) {
   auto& cm = net::CostModel::instance();
-  cm.calibrate(/*force=*/true);
-  const auto& p = cm.params();
-  EXPECT_DOUBLE_EQ(p.alpha, 1.5e-6);
-  EXPECT_DOUBLE_EQ(p.beta, 2.5e-10);
-  EXPECT_EQ(p.radix, 8);
-  EXPECT_GT(p.gamma, 0.0) << "non-overridden params still come from probes";
+  net::CostModel::Params p;
+  p.radix = 8;
+  cm.set_params(p);
   // Radix 8 flattens the tree: 0..7 now share the first-level switch.
   EXPECT_EQ(cm.hops(0, 7), 2);
+  EXPECT_GT(cm.hops(0, 8), cm.hops(0, 7));
 }
 
 TEST_F(NetCostModelTest, PredictScalesWithPayloadAndIsPositive) {

@@ -1,204 +1,199 @@
 #!/usr/bin/env python3
-"""Perf regression gate for the comm-bound benchmarks.
+"""Performance gate: the engine benchmark on a change and on its parent.
 
-Compares a freshly measured BENCH_perf.json against the committed baseline
-(docs/BENCH_perf_baseline_comm.json) and fails when any gated benchmark
-regressed by more than the noise bound. CI produces the current file with
+    python3 tools/perf_gate.py BASE_REF
 
-    DPF_VPS=16 DPF_WORKERS=4 bench/perf_suite --reps 5 \
-        --only gauss-jordan,jacobi,transpose,fem-3D,diff-2D,diff-3D,ellip-2D \
-        BENCH_perf.json
-    python3 tools/perf_gate.py --current BENCH_perf.json
+Run from a git checkout. The gate adds a temporary git worktree of the
+merge-base of HEAD and BASE_REF (the parent) and runs perfbench/run.py on
+it and on this tree (the change) in PAIRS pairs, alternating which side
+runs first. Both runs of a pair use one seed, and each side builds into its
+own CARGO_TARGET_DIR. Every end-to-end metric of every workload is judged
+by its `better` direction and `bound` in BENCHMARK.json:
 
-The perf JSON is a CI artifact, not a committed file: the workflow uploads
-it (artifact `dpf-perf-smoke`) and .gitignore keeps it out of the tree.
+  worse       the change's median is past the parent's by more than the
+              bound, the change is worse than its paired parent run in at
+              least MIN_WORSE_PAIRS pairs, and the gap between the medians
+              exceeds the parent's interquartile range;
+  unresolved  the median is past the bound, but the other two conditions
+              do not both hold: the host's noise reaches the bound.
 
-Elapsed times are normalized by the calibrated machine peak (elapsed *
-peak_mflops) so the comparison tracks *work per peak-FLOP* rather than raw
-wall time — a slower CI host inflates elapsed and deflates the calibrated
-peak together, keeping the product roughly host-independent. Benchmarks
-whose baseline elapsed is under the absolute floor are reported but never
-fail the gate: at sub-millisecond scale, scheduler jitter dominates.
-
-`--only a,b,c` restricts gating to a subset of the gated list (the tuned
-perf smoke checks just the comm-bound four this way).
-
-Refresh the baseline (after an intentional perf change, best-of-5 on a
-quiet machine) with:
-
-    python3 tools/perf_gate.py --current BENCH_perf.json --update
-
---update refuses when any gated entry's elapsed sits under the jitter
-floor — a baseline made of noise gates nothing. Pass --allow-sub-floor to
-force it through (with a loud warning) when the sub-floor timing is the
-honest steady state.
-
-All malformed-input paths (missing file, invalid JSON, missing machine /
-peak_mflops / benchmarks keys) exit 2 with a one-line diagnostic rather
-than a traceback — exit 2 means "could not compare", exit 1 means
-"compared and regressed".
+Exit 0 when nothing is worse; 1 on a worse metric, or when the change has a
+larger share of failed member runs on a workload than the parent; 2 when
+the gate cannot compare (a git or build failure, a missing or malformed
+result line).
 """
 
 import argparse
 import json
+import os
+import shutil
+import signal
+import statistics
+import subprocess
 import sys
+import tempfile
+import time
 
-BASELINE_DEFAULT = "docs/BENCH_perf_baseline_comm.json"
-# The comm-bound four plus the interior-first overlapped stencil set.
-GATED = ["gauss-jordan", "jacobi", "transpose", "fem-3D",
-         "diff-2D", "diff-3D", "ellip-2D"]
-TOLERANCE = 0.15       # >15% normalized-elapsed growth fails the gate
-FLOOR_SECONDS = 1e-3   # baselines faster than this are jitter, not signal
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PAIRS = 10
+MIN_WORSE_PAIRS = 9
+# run.py's shortest run length (two processes per workload; a run takes
+# 12-55 s on a 4-vCPU host). A constant, so both sides always run alike.
+RUN_SECONDS = 1
 
 
 class GateError(Exception):
-    """A diagnosable input problem: print one line, exit 2."""
+    """The gate cannot compare: print one line, exit 2."""
 
 
-def load(path):
+def git(*args):
+    proc = subprocess.run(["git", "-C", ROOT, *args], capture_output=True,
+                          text=True)
+    if proc.returncode != 0:
+        why = (proc.stderr.strip() or f"exit {proc.returncode}").splitlines()
+        raise GateError(f"git {' '.join(args)}: {why[-1]}")
+    return proc.stdout.strip()
+
+
+def run_bench(tree, target, seed):
+    """One perfbench/run.py run on `tree`; returns its standard output."""
+    cmd = [sys.executable, "perfbench/run.py", "--seed", str(seed),
+           "--seconds", str(RUN_SECONDS)]
+    env = dict(os.environ, CARGO_TARGET_DIR=target)
+    with subprocess.Popen(cmd, cwd=tree, env=env, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, text=True) as proc:
+        try:
+            out, err = proc.communicate()
+        except BaseException:
+            proc.terminate()  # run.py stops its pass runner on SIGTERM
+            proc.communicate()
+            raise
+    if proc.returncode != 0:
+        sys.stderr.write(err)
+    if proc.returncode not in (0, 1):  # 1: a member run failed its check
+        raise GateError(f"perfbench/run.py in {tree} exited "
+                        f"{proc.returncode}")
+    return out
+
+
+def run_pairs(base_ref):
+    """Runs the pairs; returns the parent's and the change's outputs."""
+    base = git("merge-base", "HEAD", base_ref)
+    tmp = tempfile.mkdtemp(prefix="perf_gate.")
+    sides = {"parent": os.path.join(tmp, "parent"), "change": ROOT}
+    outputs = {"parent": [], "change": []}
     try:
-        with open(path) as f:
-            return json.load(f)
-    except OSError as e:
-        raise GateError(f"cannot read {path}: {e.strerror or e}")
-    except json.JSONDecodeError as e:
-        raise GateError(f"{path} is not valid JSON ({e})")
+        git("worktree", "add", "--detach", sides["parent"], base)
+        for i in range(PAIRS):
+            for side in (("parent", "change"), ("change", "parent"))[i % 2]:
+                start = time.monotonic()
+                outputs[side].append(run_bench(
+                    sides[side], os.path.join(tmp, side + "-build"), i + 1))
+                print(f"pair {i + 1}/{PAIRS} {side}: "
+                      f"{time.monotonic() - start:.0f} s", file=sys.stderr)
+        return outputs["parent"], outputs["change"]
+    finally:
+        subprocess.run(["git", "-C", ROOT, "worktree", "remove", "--force",
+                        sides["parent"]], capture_output=True)
+        shutil.rmtree(tmp, ignore_errors=True)
 
 
-def validate(doc, path):
-    """Checks the shape perf_gate relies on, with named-key diagnostics."""
-    if not isinstance(doc, dict):
-        raise GateError(f"{path}: top level must be a JSON object")
-    machine = doc.get("machine")
-    if not isinstance(machine, dict):
-        raise GateError(f"{path}: missing 'machine' object — was this "
-                        f"written by bench/perf_suite?")
-    peak = machine.get("peak_mflops")
-    if not isinstance(peak, (int, float)) or peak <= 0:
-        raise GateError(f"{path}: machine.peak_mflops missing or "
-                        f"non-positive ({peak!r}); cannot normalize elapsed "
-                        f"times")
-    if "vps" not in machine or "simd" not in machine:
-        raise GateError(f"{path}: machine block lacks vps/simd — "
-                        f"schema too old to compare")
-    benches = doc.get("benchmarks")
-    if not isinstance(benches, list):
-        raise GateError(f"{path}: missing 'benchmarks' array")
-    for b in benches:
-        if not isinstance(b, dict) or "name" not in b or "elapsed_s" not in b:
-            raise GateError(f"{path}: benchmark entry without name/"
-                            f"elapsed_s: {b!r}")
-    return doc
-
-
-def by_name(doc):
-    return {b["name"]: b for b in doc["benchmarks"]}
-
-
-def normalized_elapsed(doc, bench):
-    return bench["elapsed_s"] * doc["machine"]["peak_mflops"]
-
-
-def parse_only(spec):
-    names = [n for n in (spec or "").split(",") if n]
-    unknown = [n for n in names if n not in GATED]
-    if unknown:
-        raise GateError(f"--only names not in the gated set: "
-                        f"{','.join(unknown)} (gated: {','.join(GATED)})")
-    return names or list(GATED)
-
-
-def run(args):
-    gated = parse_only(args.only)
-    current = validate(load(args.current), args.current)
-    cur = by_name(current)
-    missing = [n for n in gated if n not in cur]
+def results(text, workloads):
+    """{workload: result} of one run.py output, whose JSON result lines
+    each follow their `workload NAME:` header line."""
+    found, name = {}, None
+    for line in text.splitlines():
+        if line.startswith("workload "):
+            name = line.split()[1].rstrip(":")
+        elif line.startswith("{"):
+            try:
+                res = json.loads(line)
+                ok = {"attempted", "failed", "metrics"} <= res.keys()
+            except ValueError:
+                ok = False
+            if not ok or name is None:
+                raise GateError(f"malformed result line: {line[:60]}")
+            found[name], name = res, None
+    missing = [w for w in workloads if w not in found]
     if missing:
-        raise GateError(f"{args.current} is missing {missing}; "
-                        f"run perf_suite --only {','.join(gated)} first")
+        raise GateError(f"no result line for workload {', '.join(missing)}")
+    return found
 
-    if args.update:
-        sub_floor = [n for n in gated
-                     if cur[n]["elapsed_s"] < FLOOR_SECONDS]
-        if sub_floor:
-            msg = (f"perf_gate: {args.current} has sub-floor "
-                   f"(<{FLOOR_SECONDS:g}s) timings for "
-                   f"{', '.join(sub_floor)} — such a baseline is jitter "
-                   f"and gates nothing.")
-            if not args.allow_sub_floor:
-                raise GateError(
-                    msg + " Re-measure at a larger problem size, or pass "
-                          "--allow-sub-floor to force the update.")
-            print(msg + " Updating anyway (--allow-sub-floor).")
-        slim = {
-            "machine": current["machine"],
-            "benchmarks": [cur[n] for n in gated],
-        }
-        with open(args.baseline, "w") as f:
-            json.dump(slim, f, indent=2)
-            f.write("\n")
-        print(f"perf_gate: baseline {args.baseline} updated from "
-              f"{args.current}")
-        return 0
 
-    baseline = validate(load(args.baseline), args.baseline)
-    base = by_name(baseline)
-    missing = [n for n in gated if n not in base]
-    if missing:
-        raise GateError(f"{args.baseline} is missing {missing}; refresh it "
-                        f"with --update")
+def value(res, metric):
+    """A metric's value, or None when the workload produced no metrics
+    (its failed member runs count instead)."""
+    if not res["metrics"]:
+        return None
+    try:
+        return float(res["metrics"][metric]["value"])
+    except (KeyError, TypeError, ValueError):
+        raise GateError(f"result line without a value for {metric}") from None
 
-    if current["machine"]["vps"] != baseline["machine"]["vps"] or \
-       current["machine"]["simd"] != baseline["machine"]["simd"]:
-        raise GateError(f"machine config mismatch — baseline "
-                        f"{baseline['machine']}, current "
-                        f"{current['machine']}; not comparable")
 
-    print(f"{'benchmark':<16} {'base(s)':>10} {'now(s)':>10} "
-          f"{'norm ratio':>10}  verdict")
-    failures = []
-    for name in gated:
-        b, c = base[name], cur[name]
-        nb = normalized_elapsed(baseline, b)
-        nc = normalized_elapsed(current, c)
-        ratio = nc / nb if nb > 0 else float("inf")
-        if b["elapsed_s"] < FLOOR_SECONDS:
-            verdict = "below floor (informational)"
-        elif ratio > 1.0 + args.tolerance:
-            verdict = f"REGRESSED >{args.tolerance:.0%}"
-            failures.append((name, ratio))
-        else:
+def compare(parent, change, spec):
+    """Judges each side's run.py outputs (one per pair, in pair order) by
+    the workloads and end-to-end bounds of `spec` (BENCHMARK.json). Prints
+    one row per workload and metric; returns the exit status, 0 or 1."""
+    names = [w["name"] for w in spec["workloads"]]
+    par = [results(t, names) for t in parent]
+    chg = [results(t, names) for t in change]
+    print(f"{'workload':10} {'metric':12} {'parent':>10} {'IQR':>10} "
+          f"{'change':>10} {'ratio':>6} {'worse':>6}  verdict")
+    failures, unresolved = [], 0
+    for w in names:
+        share = [sum(r[w]["failed"] for r in side) /
+                 max(1, sum(r[w]["attempted"] for r in side))
+                 for side in (par, chg)]
+        if share[1] > share[0]:
+            failures.append(f"{w} failed member runs "
+                            f"{share[0]:.2%} -> {share[1]:.2%}")
+        for m in spec["end_to_end"]:
+            pairs = [(value(p[w], m["name"]), value(c[w], m["name"]))
+                     for p, c in zip(par, chg)]
+            pairs = [pc for pc in pairs if None not in pc]
+            if len(pairs) < 2:
+                raise GateError(f"{w} {m['name']}: fewer than two pairs "
+                                f"with a value on both sides")
+            sign = 1 if m["better"] == "lower" else -1
+            pm = statistics.median(p for p, _ in pairs)
+            cm = statistics.median(c for _, c in pairs)
+            q1, _, q3 = statistics.quantiles([p for p, _ in pairs], n=4,
+                                             method="inclusive")
+            worse = sum(sign * (c - p) > 0 for p, c in pairs)
             verdict = "ok"
-        print(f"{name:<16} {b['elapsed_s']:>10.5f} {c['elapsed_s']:>10.5f} "
-              f"{ratio:>10.3f}  {verdict}")
-
+            if sign * (cm - pm) > m["bound"] * pm:
+                if worse >= MIN_WORSE_PAIRS and abs(cm - pm) > q3 - q1:
+                    verdict = "WORSE"
+                    failures.append(f"{w} {m['name']}")
+                else:
+                    verdict = "unresolved"
+                    unresolved += 1
+            print(f"{w:10} {m['name']:12} {pm:10.4g} {q3 - q1:10.3g} "
+                  f"{cm:10.4g} {cm / pm if pm else 0:6.3f} "
+                  f"{worse:>3}/{len(pairs):<2}  {verdict}")
     if failures:
-        worst = ", ".join(f"{n} ({r:.2f}x)" for n, r in failures)
-        print(f"\nperf_gate: FAIL — {worst} beyond the "
-              f"{args.tolerance:.0%} noise bound. If intentional, refresh "
-              f"the baseline with --update on a quiet machine.")
+        print(f"perf_gate: worse than the parent: {'; '.join(failures)}")
         return 1
-    print("\nperf_gate: pass")
+    print(f"perf_gate: pass ({unresolved} unresolved)")
     return 0
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--current", default="BENCH_perf.json",
-                    help="freshly measured perf JSON (default BENCH_perf.json)")
-    ap.add_argument("--baseline", default=BASELINE_DEFAULT,
-                    help=f"committed baseline (default {BASELINE_DEFAULT})")
-    ap.add_argument("--tolerance", type=float, default=TOLERANCE,
-                    help=f"allowed fractional growth (default {TOLERANCE})")
-    ap.add_argument("--only", default="",
-                    help="comma-separated subset of the gated benchmarks")
-    ap.add_argument("--update", action="store_true",
-                    help="rewrite the baseline from --current and exit")
-    ap.add_argument("--allow-sub-floor", action="store_true",
-                    help="let --update through despite sub-floor timings")
-    args = ap.parse_args()
+    ap.add_argument("base_ref", help="branch or commit to compare with; "
+                    "the parent is its merge-base with HEAD")
+    args = ap.parse_args(argv)
+    # On SIGTERM, unwind through the finally that removes the worktree.
+    signal.signal(signal.SIGTERM, lambda signum, _: sys.exit(128 + signum))
     try:
-        return run(args)
+        try:
+            with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
+                spec = json.load(f)
+        except (OSError, ValueError) as e:
+            raise GateError(f"cannot read BENCHMARK.json: {e}") from None
+        parent, change = run_pairs(args.base_ref)
+        return compare(parent, change, spec)
     except GateError as e:
         print(f"perf_gate: {e}")
         return 2
