@@ -15,7 +15,8 @@
 /// resulting constants, so a report's predicted-vs-measured columns can be
 /// traced back to these numbers. Machine-readable output goes to
 /// BENCH_net.json or the path argument; the binary exits 1 when it cannot
-/// write it. `--smoke` shrinks rounds and sizes for CI.
+/// write it. `--smoke` shrinks rounds and sizes for CI; any other argument
+/// starting with `--` prints the usage line and exits 2.
 
 #include <chrono>
 #include <cstdio>
@@ -222,6 +223,9 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
+    } else if (std::strncmp(argv[i], "--", 2) == 0) {
+      std::fprintf(stderr, "usage: net_microbench [--smoke] [PATH]\n");
+      return 2;
     } else {
       json_path = argv[i];
     }

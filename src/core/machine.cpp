@@ -38,6 +38,20 @@ inline void cpu_relax() {
 constexpr int kPauseSpins = 2048;
 constexpr int kYieldSpins = 64;
 
+// Grain rule (Machine::choose_inline). A site never timed inline may run
+// inline once on the evidence of its fan-outs alone, e.g. when they summed
+// to less than kTrialFanOuts of the cheapest fan-out seen. An inline site
+// checks its forecast by fanning out after kRecheckPeriod regions
+// (Site::check_period's first value), doubling the period up to
+// kMaxCheckPeriod while checks lose. The pool's cost estimates lapse
+// kCostLifetime regions after their last sample. A new sample of a site's
+// wake credit weighs kCreditWeight.
+constexpr double kTrialFanOuts = 8;
+constexpr std::uint32_t kRecheckPeriod = Machine::Site{}.check_period;
+constexpr std::uint32_t kMaxCheckPeriod = 1u << 20;
+constexpr std::uint64_t kCostLifetime = 4096;
+constexpr double kCreditWeight = 1.0 / 8;
+
 int hardware_threads() {
   return static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
 }
@@ -109,12 +123,17 @@ void Machine::configure(int vps) {
   vps_ = vps;
   workers_ = std::min(worker_budget(), vps);
   // Chunked dispatch: with vps >> workers, claiming one VP per atomic RMW
-  // thrashes the cursor line; claim ~8 chunks per worker instead. A single
-  // worker claims the whole queue in one go.
-  chunk_ = workers_ == 1
-               ? static_cast<index_t>(vps_)
-               : std::max<index_t>(1, vps_ / (workers_ * 8));
+  // thrashes the cursor line; claim ~8 chunks per worker instead.
+  chunk_ = std::max<index_t>(1, vps_ / (workers_ * 8));
   busy_.assign(static_cast<std::size_t>(workers_), BusySlot{});
+  // Every call site's grain state and the pool's cost describe the old
+  // pool: start over.
+  ++epoch_;
+  cost_spinning_ = CostWindow{};
+  cost_parked_ = CostWindow{};
+  cost_serial_ = region_serial_.load(std::memory_order_relaxed);
+  waker_ = nullptr;
+  burst_gain_ns_ = 0.0;
   start_pool();
   // The configuring thread dispatches regions as worker 0; helpers bind
   // themselves at the top of worker_loop. The trace reconfigure path is a
@@ -145,30 +164,34 @@ void Machine::stop_pool() {
   pool_.clear();
 }
 
-void Machine::drain(RegionFn fn, void* ctx, double* slot) {
+Machine::Drained Machine::drain(RegionFn fn, void* ctx, double* slot) {
   const index_t p = static_cast<index_t>(vps_);
   // Chunk spans reuse the clock reads the busy timer already pays for, so
   // tracing adds one relaxed-store ring push per chunk.
   const bool tracing = trace::enabled(trace::Mode::Summary);
   const std::uint64_t serial = region_serial_.load(std::memory_order_relaxed);
+  Drained drained;
   for (;;) {
     const index_t begin = cursor_.fetch_add(chunk_, std::memory_order_relaxed);
-    if (begin >= p) return;
+    if (begin >= p) break;
     const index_t end = std::min(begin + chunk_, p);
     const auto t0 = clock_t_::now();
     for (index_t vp = begin; vp < end; ++vp) fn(ctx, static_cast<int>(vp));
     const auto t1 = clock_t_::now();
-    *slot += seconds_between(t0, t1) * 1e9;
+    drained.ns += seconds_between(t0, t1) * 1e9;
+    drained.vps += static_cast<int>(end - begin);
     if (tracing) {
       trace::chunk(serial, to_ns(t0), to_ns(t1), static_cast<int>(begin),
                    static_cast<int>(end));
     }
   }
+  *slot += drained.ns;
+  return drained;
 }
 
 void Machine::worker_loop(int worker_id, std::uint64_t seen) {
   trace::bind_worker(worker_id);
-  double* slot = &busy_[static_cast<std::size_t>(worker_id)].ns;
+  BusySlot& slot = busy_[static_cast<std::size_t>(worker_id)];
   for (;;) {
     // Wait for the next generation: spin, yield, then park.
     std::uint64_t g = gen_.load(std::memory_order_acquire);
@@ -194,7 +217,7 @@ void Machine::worker_loop(int worker_id, std::uint64_t seen) {
     }
     seen = g;
     if (shutdown_.load(std::memory_order_acquire)) return;
-    drain(fn_, ctx_, slot);
+    slot.region_ns = drain(fn_, ctx_, &slot.ns).ns;
     // Arrival barrier: the dispatcher returns from the region only after
     // every helper has checked in, so no stale claim can outlive a region.
     arrived_.fetch_add(1, std::memory_order_seq_cst);
@@ -205,7 +228,148 @@ void Machine::worker_loop(int worker_id, std::uint64_t seen) {
   }
 }
 
-void Machine::spmd_raw(RegionFn fn, void* ctx) {
+bool Machine::choose_inline(Site& site, bool parked) {
+  if (site.epoch != epoch_) {
+    site = Site{};
+    site.epoch = epoch_;
+  }
+  const std::uint32_t call = site.calls++;
+  // The helpers went back to sleep: the burst the last waker began is over.
+  if (parked) settle_burst();
+  // The safe default: a site's first region fans out.
+  if (call == 0) return false;
+  // The serial body time: exact after an inline run; after a fan-out, the
+  // summed chunk time, which overstates a small body (cross-core misses, a
+  // clock pair per chunk), or the site's last exact time if lower.
+  double body = site.sum_ns;
+  if (site.last_inline) {
+    body = site.inline_ns;
+  } else if (site.inline_ns >= 0.0) {
+    body = std::min(body, site.inline_ns);
+  }
+  // Fanning out costs half the body plus the pool's cost with the helpers
+  // spinning (the cheapest fan-out seen until that is sampled), or the
+  // site's own fan-out wall if lower. Knowing neither cost, only a clear
+  // margin counts: a body under half the site's last wall. Parked helpers
+  // join only once awake, so the region lasts at least as long as a wake:
+  // the pool's cost with the helpers parked, or the site's own wall from
+  // its last wake if lower, less what the fan-outs after this site's past
+  // wakes gained from finding the helpers spinning.
+  const double cost =
+      cost_spinning_.low > 0.0 ? cost_spinning_.low : cost_floor_ns_;
+  double fan = site.wall_ns / 2;
+  if (cost > 0.0) {
+    fan = body / 2 + cost;
+    if (site.fanout_ns >= 0.0) fan = std::min(fan, site.fanout_ns);
+  }
+  if (parked) {
+    fan = std::max(fan, cost_parked_.low);
+    if (site.woke_ns >= 0.0) fan = std::min(fan, site.woke_ns);
+    fan -= site.credit_ns;
+  }
+  if (body >= fan) {
+    // Fanning out is predicted. A site never timed inline may be a small
+    // body overstated, when its summed chunks are within a few of the
+    // cheapest fan-outs seen or the dispatcher's own chunks, scaled to all
+    // VPs, took under half the wall: time it inline, once.
+    if (site.inline_ns < 0.0 && !site.tried &&
+        (body < kTrialFanOuts * cost_floor_ns_ ||
+         2 * site.own_serial_ns < site.wall_ns)) {
+      site.tried = true;
+      return true;
+    }
+    return false;
+  }
+  // Inline is predicted. Fan out now and then anyway to refresh the
+  // evidence, backing off while such checks lose; a body under twice the
+  // cheapest fan-out seen could not win one, so it is never checked.
+  if (site.last_inline && call >= site.next_check && cost_floor_ns_ > 0.0 &&
+      body >= 2 * cost_floor_ns_) {
+    site.checking = true;
+    return false;
+  }
+  return true;
+}
+
+void Machine::CostWindow::add(double sample) {
+  ns[next] = sample;
+  next = (next + 1) % ns.size();
+  low = sample;
+  for (const double v : ns) {
+    if (v > 0.0) low = std::min(low, v);
+  }
+}
+
+void Machine::settle_burst() {
+  if (waker_ != nullptr) {
+    double& credit = waker_->credit_ns;
+    credit = credit == 0.0 ? burst_gain_ns_
+                           : credit + (burst_gain_ns_ - credit) * kCreditWeight;
+  }
+  waker_ = nullptr;
+  burst_gain_ns_ = 0.0;
+}
+
+double Machine::run_inline(RegionFn fn, void* ctx, std::uint64_t serial) {
+  const auto t0 = clock_t_::now();
+  for (int vp = 0; vp < vps_; ++vp) fn(ctx, vp);
+  const auto t1 = clock_t_::now();
+  const double ns = seconds_between(t0, t1) * 1e9;
+  busy_[0].ns += ns;
+  if (trace::enabled(trace::Mode::Summary)) {
+    trace::chunk(serial, to_ns(t0), to_ns(t1), 0, vps_);
+  }
+  return ns;
+}
+
+Machine::FanOut Machine::fan_out(RegionFn fn, void* ctx) {
+  cursor_.store(0, std::memory_order_relaxed);
+  fn_ = fn;
+  ctx_ = ctx;
+  arrived_.store(0, std::memory_order_relaxed);
+  gen_.fetch_add(1, std::memory_order_seq_cst);
+  const bool woke = parked_.load(std::memory_order_seq_cst) > 0;
+  if (woke) {
+    std::lock_guard<std::mutex> lock(mu_);
+    cv_start_.notify_all();
+  }
+
+  const Drained own = drain(fn, ctx, &busy_[0].ns);
+  double sum = own.ns;
+  bool parked_wait = false;
+
+  // Wait for all helpers to arrive: spin, then park on cv_done_.
+  const int need = workers_ - 1;
+  if (arrived_.load(std::memory_order_acquire) != need) {
+    for (int i = 0; i < kPauseSpins; ++i) {
+      cpu_relax();
+      if (arrived_.load(std::memory_order_acquire) == need) break;
+    }
+    for (int i = 0;
+         arrived_.load(std::memory_order_acquire) != need && i < kYieldSpins;
+         ++i) {
+      std::this_thread::yield();
+    }
+    if (arrived_.load(std::memory_order_seq_cst) != need) {
+      std::unique_lock<std::mutex> lock(mu_);
+      waiter_parked_.store(true, std::memory_order_seq_cst);
+      parked_wait = true;
+      cv_done_.wait(lock, [&] {
+        return arrived_.load(std::memory_order_seq_cst) == need;
+      });
+      waiter_parked_.store(false, std::memory_order_seq_cst);
+    }
+  }
+  for (int w = 1; w < workers_; ++w) {
+    sum += busy_[static_cast<std::size_t>(w)].region_ns;
+  }
+  // The dispatcher's chunks scaled to all P VPs: a second view of the
+  // body, blind to the VPs the helpers ran.
+  const double own_serial = own.vps > 0 ? own.ns * vps_ / own.vps : 0.0;
+  return {sum, own.ns, own_serial, woke, parked_wait};
+}
+
+void Machine::spmd_raw(RegionFn fn, void* ctx, Site* site) {
   // Nested regions run inline on the calling VP worker (flat SPMD model;
   // CMF semantics serialize such nesting).
   if (in_region_.exchange(true, std::memory_order_acquire)) {
@@ -223,44 +387,71 @@ void Machine::spmd_raw(RegionFn fn, void* ctx) {
       region_serial_.fetch_add(1, std::memory_order_relaxed) + 1;
   const bool tracing = trace::enabled(trace::Mode::Summary);
   const std::uint64_t tr0 = tracing ? trace::now_ns() : 0;
-  cursor_.store(0, std::memory_order_relaxed);
-  if (workers_ == 1) {
-    // Single-worker fast path: a plain inline loop, no handshake at all.
-    drain(fn, ctx, &busy_[0].ns);
-    if (tracing) trace::region(serial, tr0, trace::now_ns(), vps_);
-    return;
+  // The pool's cost is sampled only by fan-outs, which the grain rule makes
+  // rare: forget an old estimate, so that a slow spell of the host (a
+  // helper sharing the dispatcher's core, say) does not outlive itself.
+  if (serial - cost_serial_ > kCostLifetime) {
+    cost_spinning_ = CostWindow{};
+    cost_parked_ = CostWindow{};
+    cost_serial_ = serial;
   }
-
-  fn_ = fn;
-  ctx_ = ctx;
-  arrived_.store(0, std::memory_order_relaxed);
-  gen_.fetch_add(1, std::memory_order_seq_cst);
-  if (parked_.load(std::memory_order_seq_cst) > 0) {
-    std::lock_guard<std::mutex> lock(mu_);
-    cv_start_.notify_all();
-  }
-
-  drain(fn, ctx, &busy_[0].ns);
-
-  // Wait for all helpers to arrive: spin, then park on cv_done_.
-  const int need = workers_ - 1;
-  if (arrived_.load(std::memory_order_acquire) != need) {
-    for (int i = 0; i < kPauseSpins; ++i) {
-      cpu_relax();
-      if (arrived_.load(std::memory_order_acquire) == need) break;
+  const bool inline_run =
+      workers_ == 1 ||
+      (site != nullptr &&
+       choose_inline(*site, parked_.load(std::memory_order_relaxed) > 0));
+  if (inline_run) {
+    const double ns = run_inline(fn, ctx, serial);
+    ++counts_.inlined;
+    if (site != nullptr) {
+      site->inline_ns = ns;
+      site->last_inline = true;
     }
-    for (int i = 0;
-         arrived_.load(std::memory_order_acquire) != need && i < kYieldSpins;
-         ++i) {
-      std::this_thread::yield();
+  } else {
+    const auto t0 = clock_t_::now();
+    const FanOut f = fan_out(fn, ctx);
+    const double wall = seconds_between(t0, clock_t_::now()) * 1e9;
+    ++counts_.fanned_out;
+    if (f.woke) ++counts_.woke;
+    // A fan-out whose chunks summed to less than its wall, and in which the
+    // dispatcher waited longer than it ran bodies, measured the pool, not
+    // the body: it samples the cost of fanning out, unless a helper was so
+    // late that the dispatcher parked at the barrier (descheduled, say).
+    if (f.sum_ns < wall && 2 * f.own_ns < wall && !f.parked_wait) {
+      (f.woke ? cost_parked_ : cost_spinning_).add(wall);
+      cost_serial_ = serial;
+      if (!f.woke && (cost_floor_ns_ == 0.0 || wall < cost_floor_ns_)) {
+        cost_floor_ns_ = wall;
+      }
     }
-    if (arrived_.load(std::memory_order_seq_cst) != need) {
-      std::unique_lock<std::mutex> lock(mu_);
-      waiter_parked_.store(true, std::memory_order_seq_cst);
-      cv_done_.wait(lock, [&] {
-        return arrived_.load(std::memory_order_seq_cst) == need;
-      });
-      waiter_parked_.store(false, std::memory_order_seq_cst);
+    if (site != nullptr) {
+      if (site->checking) {
+        site->checking = false;
+        site->check_period = wall < site->inline_ns
+                                 ? kRecheckPeriod
+                                 : std::min(2 * site->check_period,
+                                            kMaxCheckPeriod);
+        site->next_check = site->calls + site->check_period;
+      }
+      site->wall_ns = wall;
+      site->sum_ns = f.sum_ns;
+      site->own_serial_ns = f.own_serial_ns;
+      if (f.woke) {
+        site->woke_ns = wall;
+      } else if (!f.parked_wait || site->fanout_ns < 0.0 ||
+                 wall < site->fanout_ns) {
+        // A wall that includes a parked wait still bounds the spinning
+        // wall from above.
+        site->fanout_ns = wall;
+      }
+      site->last_inline = false;
+    }
+    // Credit the site that woke the helpers with what each later fan-out
+    // gains from finding them spinning.
+    if (f.woke) {
+      settle_burst();
+      waker_ = site;
+    } else if (site != nullptr && site->inline_ns > wall) {
+      burst_gain_ns_ += site->inline_ns - wall;
     }
   }
   if (tracing) trace::region(serial, tr0, trace::now_ns(), vps_);

@@ -22,10 +22,18 @@
 /// Workers claim VPs in chunks off one shared atomic cursor, spin briefly on
 /// the generation counter between regions, and park on a condition variable
 /// only after the spin budget is exhausted. The dispatching thread always
-/// participates as worker 0; with a single worker (the default on a
-/// single-core host) a region is a plain inline loop with no atomics beyond
-/// one cursor reset.
+/// participates as worker 0.
+///
+/// Grain: a top-level region whose serial body is expected to take less
+/// than fanning it out would cost now runs inline on the dispatching thread,
+/// VPs 0..P-1 in order, exactly as with a single worker (the default on a
+/// single-core host). spmd() keeps the evidence per call site: the site's
+/// own inline times and fan-out walls, and the pool's measured fan-out cost
+/// with helpers spinning and with helpers parked. A site's first region in a
+/// configure() epoch always fans out; so does every spmd_raw() call that
+/// names no site.
 
+#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -73,20 +81,56 @@ class Machine {
   /// dispatching thread).
   [[nodiscard]] int workers() const { return workers_; }
 
+  /// Grain state of one call site of spmd(). spmd() keeps one per body
+  /// type, so one per call site; only the dispatching thread reads or
+  /// writes it, inside a top-level spmd_raw(). Times are in ns.
+  struct Site {
+    std::uint64_t epoch = 0;   ///< configure() epoch the state belongs to
+    double inline_ns = -1.0;   ///< the last inline run's body time (exact)
+    double fanout_ns = -1.0;   ///< the last fan-out wall, helpers spinning
+    double woke_ns = -1.0;     ///< the last fan-out wall, helpers parked
+    double wall_ns = 0.0;      ///< the last fan-out's wall
+    double sum_ns = 0.0;       ///< the last fan-out's summed chunk time
+    double own_serial_ns = 0.0;  ///< the dispatcher's share, scaled to P
+    double credit_ns = 0.0;    ///< what fan-outs after its wakes gained
+    std::uint32_t calls = 0;   ///< regions run this epoch
+    std::uint32_t next_check = 64;    ///< call of the next checking fan-out
+    std::uint32_t check_period = 64;  ///< calls between checks
+    bool last_inline = false;  ///< how the last region ran
+    bool tried = false;        ///< ran inline before inline_ns was known
+    bool checking = false;     ///< this fan-out checks an inline forecast
+  };
+
+  /// Top-level regions by how they ran, counted by the dispatching thread
+  /// since the machine was constructed (configure() does not reset them).
+  struct RegionCounts {
+    std::uint64_t inlined = 0;     ///< ran inline on the dispatcher
+    std::uint64_t fanned_out = 0;  ///< published to the pool
+    std::uint64_t woke = 0;        ///< fanned out with helpers parked
+  };
+
   /// Runs `body(vp)` for every vp in [0, P); blocks until all complete.
   /// Time spent in region bodies accrues to busy time. Nested calls from
   /// inside a region body execute inline on the calling VP (the machine is
-  /// a flat SPMD model, like CMF).
+  /// a flat SPMD model, like CMF). Whether a top-level region fans out to
+  /// the pool or runs inline on the dispatcher is decided per call site
+  /// (file comment); the VPs and their results are the same either way.
   template <typename F>
   void spmd(F&& body) {
     using Fn = std::remove_reference_t<F>;
+    static Site site;
     spmd_raw(
         [](void* ctx, int vp) { (*static_cast<Fn*>(ctx))(vp); },
-        const_cast<void*>(static_cast<const void*>(std::addressof(body))));
+        const_cast<void*>(static_cast<const void*>(std::addressof(body))),
+        &site);
   }
 
-  /// The untyped core of spmd(): runs fn(ctx, vp) for every vp.
-  void spmd_raw(RegionFn fn, void* ctx);
+  /// The untyped core of spmd(): runs fn(ctx, vp) for every vp. With no
+  /// `site` a multi-worker machine always fans the region out.
+  void spmd_raw(RegionFn fn, void* ctx, Site* site = nullptr);
+
+  /// Top-level region counts so far.
+  [[nodiscard]] RegionCounts region_counts() const { return counts_; }
 
   /// Resets the busy-time accumulators.
   void reset_busy();
@@ -148,8 +192,33 @@ class Machine {
   void stop_pool();
   void worker_loop(int worker_id, std::uint64_t seen);
   /// Claims and executes chunks of the current region's VP queue until the
-  /// cursor is exhausted; accrues chunk time to busy slot `slot`.
-  void drain(RegionFn fn, void* ctx, double* slot);
+  /// cursor is exhausted; accrues chunk time to busy slot `slot` and
+  /// returns the ns it accrued and the VPs it ran.
+  struct Drained {
+    double ns = 0.0;
+    int vps = 0;
+  };
+  Drained drain(RegionFn fn, void* ctx, double* slot);
+  /// Runs VPs 0..P-1 in order on the calling thread as one chunk charged
+  /// to busy slot 0; returns the body time in ns.
+  double run_inline(RegionFn fn, void* ctx, std::uint64_t serial);
+  /// Publishes the region to the pool, drains with it and waits at the
+  /// arrival barrier; returns the region's summed chunk time and the
+  /// dispatcher's own, in ns, whether publishing had to wake parked helpers
+  /// and whether the dispatcher parked at the barrier.
+  struct FanOut {
+    double sum_ns;
+    double own_ns;
+    double own_serial_ns;  ///< own_ns scaled to all P VPs
+    bool woke;
+    bool parked_wait;
+  };
+  FanOut fan_out(RegionFn fn, void* ctx);
+  /// The grain rule: true when `site`'s next region should run inline.
+  bool choose_inline(Site& site, bool parked);
+  /// Credits the site whose fan-out last woke the helpers with the gains
+  /// of the fan-outs that found them spinning since, and forgets it.
+  void settle_burst();
 
   int vps_ = 1;
   int workers_ = 1;
@@ -171,6 +240,29 @@ class Machine {
   std::atomic<std::uint64_t> region_serial_{0};
   ReconfigureHook reconfigure_hook_ = nullptr;
 
+  // --- grain state (dispatching thread only) ----------------------------
+  std::uint64_t epoch_ = 0;  ///< configure() count; stales every Site
+  /// The lowest of the last eight samples of one of the pool's costs, in
+  /// ns (0 until sampled): one slow sample does not move it; a lasting
+  /// change does.
+  struct CostWindow {
+    std::array<double, 8> ns{};
+    std::size_t next = 0;
+    double low = 0.0;
+    void add(double sample);
+  };
+  /// Walls of fan-outs whose chunks summed to less than the wall and in
+  /// which the dispatcher ran bodies for less than half of it, i.e. the
+  /// pool's own cost, by the helpers' state at publication.
+  CostWindow cost_spinning_;
+  CostWindow cost_parked_;
+  std::uint64_t cost_serial_ = 0;  ///< region of the last cost sample
+  /// The cheapest fan-out with helpers spinning this process has seen.
+  double cost_floor_ns_ = 0.0;
+  Site* waker_ = nullptr;       ///< the site whose fan-out last woke helpers
+  double burst_gain_ns_ = 0.0;  ///< fan-out gains since that wake
+  RegionCounts counts_;
+
   // --- park/wake slow path ---------------------------------------------
   std::mutex mu_;
   std::condition_variable cv_start_;  ///< parked workers await a new gen
@@ -186,6 +278,7 @@ class Machine {
   /// inside one chunk but preserves the sum).
   struct alignas(64) BusySlot {
     double ns = 0.0;
+    double region_ns = 0.0;  ///< a helper's chunk time in its last region
   };
   std::vector<BusySlot> busy_;
 

@@ -6,6 +6,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
+#include <optional>
+#include <string>
 #include <thread>
 
 #include "core/machine.hpp"
@@ -126,6 +129,97 @@ TEST_F(MachineTest, NestedSpmdExecutesInline) {
     }
   });
   EXPECT_EQ(inner.load(), 2);
+}
+
+/// Forces a pool of `workers` threads for one test and restores DPF_WORKERS
+/// after it, since the sanitizer legs run every test in one process.
+class ScopedWorkers {
+ public:
+  explicit ScopedWorkers(int workers) {
+    if (const char* v = std::getenv("DPF_WORKERS")) saved_ = v;
+    setenv("DPF_WORKERS", std::to_string(workers).c_str(), 1);
+  }
+  ~ScopedWorkers() {
+    if (saved_) {
+      setenv("DPF_WORKERS", saved_->c_str(), 1);
+    } else {
+      unsetenv("DPF_WORKERS");
+    }
+  }
+  ScopedWorkers(const ScopedWorkers&) = delete;
+  ScopedWorkers& operator=(const ScopedWorkers&) = delete;
+
+ private:
+  std::optional<std::string> saved_;
+};
+
+// A site's first region fans out; an empty body cannot repay the pool, so
+// every later one runs inline on the dispatcher.
+TEST_F(MachineTest, EmptyBodySiteRunsInlineFromItsSecondCall) {
+  ScopedWorkers workers(4);
+  Machine& m = Machine::instance();
+  m.configure(16);
+  ASSERT_EQ(m.workers(), 4);
+  const auto before = m.region_counts();
+  for (int r = 0; r < 20; ++r) m.spmd([](int) {});
+  const auto after = m.region_counts();
+  EXPECT_EQ(after.fanned_out - before.fanned_out, 1u);
+  EXPECT_EQ(after.inlined - before.inlined, 19u);
+}
+
+// Sixteen VPs of ~1 ms each are worth the pool every time. The VPs sleep
+// rather than spin, so they overlap on the pool however loaded the host's
+// cores are.
+TEST_F(MachineTest, HeavySiteFansOutOnEveryCall) {
+  ScopedWorkers workers(4);
+  Machine& m = Machine::instance();
+  m.configure(16);
+  const auto before = m.region_counts();
+  std::atomic<int> bodies{0};
+  for (int r = 0; r < 5; ++r) {
+    m.spmd([&](int) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      bodies.fetch_add(1, std::memory_order_relaxed);
+    });
+  }
+  const auto after = m.region_counts();
+  EXPECT_EQ(bodies.load(), 5 * 16);
+  EXPECT_EQ(after.fanned_out - before.fanned_out, 5u);
+  EXPECT_EQ(after.inlined, before.inlined);
+}
+
+// configure() forgets what every site learned: its next region fans out.
+TEST_F(MachineTest, ConfigureResetsSites) {
+  ScopedWorkers workers(4);
+  Machine& m = Machine::instance();
+  const auto run = [&m] { m.spmd([](int) {}); };
+  for (int round = 0; round < 2; ++round) {
+    m.configure(8);
+    const auto before = m.region_counts();
+    run();
+    run();
+    run();
+    const auto after = m.region_counts();
+    EXPECT_EQ(after.fanned_out - before.fanned_out, 1u) << "round " << round;
+    EXPECT_EQ(after.inlined - before.inlined, 2u) << "round " << round;
+  }
+}
+
+// Inline or fanned out, a region runs every VP once and charges its body
+// time to busy time; with one worker every region is inline.
+TEST_F(MachineTest, SingleWorkerRunsEveryRegionInline) {
+  ScopedWorkers workers(1);
+  Machine& m = Machine::instance();
+  m.configure(8);
+  const auto before = m.region_counts();
+  std::atomic<int> bodies{0};
+  for (int r = 0; r < 3; ++r) {
+    m.spmd([&](int) { bodies.fetch_add(1, std::memory_order_relaxed); });
+  }
+  const auto after = m.region_counts();
+  EXPECT_EQ(bodies.load(), 3 * 8);
+  EXPECT_EQ(after.inlined - before.inlined, 3u);
+  EXPECT_EQ(after.fanned_out, before.fanned_out);
 }
 
 TEST_F(MachineTest, DefaultVpsRespectsEnvironmentBounds) {

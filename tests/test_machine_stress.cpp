@@ -5,8 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <cstdlib>
 #include <thread>
 #include <vector>
@@ -118,21 +120,30 @@ TEST_F(MachineStressTest, BusyTimeAccumulatesOverNestedRegions) {
   EXPECT_LT(m.busy_seconds(), 0.1);
 }
 
+// Runs `body` through the untyped entry point, which names no call site
+// and so always fans the region out to the pool, however small the body.
+template <typename F>
+void fan_out(Machine& m, F& body) {
+  m.spmd_raw([](void* ctx, int vp) { (*static_cast<F*>(ctx))(vp); }, &body);
+}
+
 // Forces a multi-threaded pool even on single-core CI hosts, so the
 // generation-counter barrier, chunk claiming, and park/wake transitions
 // actually run concurrently (this is the configuration the ThreadSanitizer
-// job exercises).
+// job exercises). The counters confirm the regions really fanned out.
 TEST_F(MachineStressTest, ForcedMultiWorkerPoolStaysConsistent) {
   setenv("DPF_WORKERS", "4", 1);
   Machine& m = Machine::instance();
   for (int vps : {3, 16, 64}) {
     m.configure(vps);
     EXPECT_EQ(m.workers(), std::min(4, vps));
+    const auto before = m.region_counts();
     std::atomic<long> total{0};
-    for (int r = 0; r < 200; ++r) {
-      m.spmd([&](int) { total.fetch_add(1, std::memory_order_relaxed); });
-    }
+    auto body = [&](int) { total.fetch_add(1, std::memory_order_relaxed); };
+    for (int r = 0; r < 200; ++r) fan_out(m, body);
     EXPECT_EQ(total.load(), 200L * vps) << "vps=" << vps;
+    EXPECT_EQ(m.region_counts().fanned_out - before.fanned_out, 200u)
+        << "vps=" << vps;
   }
 }
 
@@ -142,11 +153,14 @@ TEST_F(MachineStressTest, ForcedMultiWorkerParallelRangeCoversEverything) {
   m.configure(16);
   const index_t n = 100000;
   std::vector<std::uint8_t> touched(static_cast<std::size_t>(n), 0);
+  const auto before = m.region_counts();
   parallel_range(n, [&](index_t lo, index_t hi) {
     for (index_t i = lo; i < hi; ++i) {
       ++touched[static_cast<std::size_t>(i)];
     }
   });
+  // A site's first region always fans out.
+  EXPECT_EQ(m.region_counts().fanned_out - before.fanned_out, 1u);
   for (index_t i = 0; i < n; ++i) {
     ASSERT_EQ(touched[static_cast<std::size_t>(i)], 1) << i;
   }
@@ -158,12 +172,15 @@ TEST_F(MachineStressTest, ForcedMultiWorkerSlowRegionsPark) {
   setenv("DPF_WORKERS", "3", 1);
   Machine& m = Machine::instance();
   m.configure(12);
+  const auto before = m.region_counts();
   for (int r = 0; r < 5; ++r) {
     std::atomic<int> count{0};
-    m.spmd([&](int) { count.fetch_add(1, std::memory_order_relaxed); });
+    auto body = [&](int) { count.fetch_add(1, std::memory_order_relaxed); };
+    fan_out(m, body);
     EXPECT_EQ(count.load(), 12);
     std::this_thread::sleep_for(std::chrono::milliseconds(30));
   }
+  EXPECT_EQ(m.region_counts().fanned_out - before.fanned_out, 5u);
 }
 
 TEST_F(MachineStressTest, ForcedMultiWorkerBusyAccounting) {
@@ -171,12 +188,14 @@ TEST_F(MachineStressTest, ForcedMultiWorkerBusyAccounting) {
   Machine& m = Machine::instance();
   m.configure(8);
   m.reset_busy();
+  const auto before = m.region_counts();
   m.spmd([&](int) {
     const auto t0 = std::chrono::steady_clock::now();
     while (std::chrono::steady_clock::now() - t0 <
            std::chrono::milliseconds(1)) {
     }
   });
+  EXPECT_EQ(m.region_counts().fanned_out - before.fanned_out, 1u);
   // 8 VPs x ~1ms spread over 8 VPs -> mean ~1ms, padded generously for CI.
   EXPECT_GT(m.busy_seconds(), 0.0005);
   EXPECT_LT(m.busy_seconds(), 0.5);

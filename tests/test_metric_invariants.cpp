@@ -3,14 +3,19 @@
 // every timed segment:
 //   - arithmetic efficiency (FLOPs over core-busy seconds times the per-core
 //     peak) is at most 100%;
-//   - core-busy seconds are at most elapsed seconds times the workers.
+//   - core-busy seconds are at most elapsed seconds times the workers;
+//   - every check has the same IEEE-754 bits at one worker and at four,
+//     whichever regions ran inline on the dispatcher and which fanned out.
 // And the machine peak is the per-core peak times min(vps, workers, hardware
 // threads), following configure() without a second probe.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdlib>
+#include <cstring>
+#include <map>
 #include <optional>
 #include <string>
 #include <thread>
@@ -54,24 +59,31 @@ class ScopedMachine {
   std::optional<std::string> workers_env_;
 };
 
-void expect_invariants_for_all(int workers) {
+using ChecksByBenchmark = std::map<std::string, std::map<std::string, double>>;
+
+/// Runs every benchmark at its defaults at DPF_VPS=16 and `workers`
+/// workers, asserts the invariants for the run and each segment, and
+/// returns every benchmark's checks.
+ChecksByBenchmark expect_invariants_for_all(int workers) {
   ScopedMachine scoped(workers, 16);
   Machine& machine = Machine::instance();
-  ASSERT_EQ(machine.workers(), workers);
+  EXPECT_EQ(machine.workers(), workers);
   register_all_benchmarks();
+  ChecksByBenchmark checks;
   std::vector<std::pair<std::string, Metrics>> windows;
   for (const auto* def : Registry::instance().all()) {
     const RunResult r = def->run_with_defaults(RunConfig{});
+    checks[def->name] = r.checks;
     windows.emplace_back(def->name, r.metrics);
     for (const auto& [seg, m] : r.segments) {
       windows.emplace_back(def->name + " segment " + seg, m);
     }
   }
-  ASSERT_GE(windows.size(), 32u);
+  EXPECT_GE(windows.size(), 32u);
   // The peak is read after the runs: a process that probes right after
   // the host idled must not deflate it.
   const double core_peak = machine.core_peak_mflops();
-  ASSERT_GT(core_peak, 0.0);
+  EXPECT_GT(core_peak, 0.0);
   for (const auto& [what, m] : windows) {
     EXPECT_LE(m.arithmetic_efficiency_pct(core_peak), 100.0)
         << what << ": " << m.flop_count << " FLOPs in "
@@ -80,14 +92,35 @@ void expect_invariants_for_all(int workers) {
     EXPECT_LE(m.busy_core_seconds, m.elapsed_seconds * machine.workers())
         << what << " at " << machine.workers() << " workers";
   }
+  return checks;
+}
+
+std::uint64_t bits_of(double v) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof bits);
+  return bits;
 }
 
 TEST(MetricInvariants, AllBenchmarksHoldAtOneWorker) {
-  expect_invariants_for_all(1);
+  (void)expect_invariants_for_all(1);
 }
 
 TEST(MetricInvariants, AllBenchmarksHoldAtFourWorkers) {
-  expect_invariants_for_all(4);
+  const ChecksByBenchmark four = expect_invariants_for_all(4);
+  const ChecksByBenchmark one = expect_invariants_for_all(1);
+  ASSERT_EQ(four.size(), one.size());
+  for (const auto& [name, checks] : one) {
+    const auto it = four.find(name);
+    ASSERT_NE(it, four.end()) << name;
+    ASSERT_EQ(it->second.size(), checks.size()) << name;
+    for (const auto& [key, v] : checks) {
+      const auto jt = it->second.find(key);
+      ASSERT_NE(jt, it->second.end()) << name << " " << key;
+      EXPECT_EQ(bits_of(jt->second), bits_of(v))
+          << name << " check " << key << ": " << jt->second
+          << " at 4 workers, " << v << " at 1";
+    }
+  }
 }
 
 TEST(MetricInvariants, PeakIsPerCorePeakTimesCores) {

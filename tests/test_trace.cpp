@@ -1,6 +1,7 @@
 // Tests for the dpf::trace subsystem: mode selection, event recording for
 // regions/chunks/collectives, ring-buffer overflow (drop-oldest with a
-// surfaced dropped counter), determinism of per-worker event counts, and
+// surfaced dropped counter), determinism of per-worker region and
+// collective counts with every region's chunks covering its VPs once, and
 // the Chrome trace / terminal summary exporters.
 
 #include <gtest/gtest.h>
@@ -8,6 +9,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -214,18 +216,36 @@ TEST_F(TraceTest, EventCountsAreDeterministicAcrossRuns) {
 
   (void)def->run_with_defaults(cfg);  // warm up lazy calibrations
 
+  // Region and collective spans land on the dispatcher's ring in program
+  // order, so their counts repeat exactly. Whether a region ran inline (one
+  // chunk on worker 0) or fanned out (chunks on any worker) depends on
+  // timing, so chunks are checked for coverage instead: each region's
+  // chunks cover [0, P) exactly once.
+  const int p = Machine::instance().vps();
   auto run_counts = [&] {
     trace::reset();
     (void)def->run_with_defaults(cfg);
     const auto snap = trace::collect();
     std::vector<std::size_t> per_worker;
-    std::size_t chunks = 0;
+    std::map<std::uint32_t, std::vector<int>> hits;
     for (const auto& w : snap.workers) {
       per_worker.push_back(count_kind_on(w, trace::EventKind::Region));
       per_worker.push_back(count_kind_on(w, trace::EventKind::Collective));
-      chunks += count_kind_on(w, trace::EventKind::Chunk);
+      for (const auto& e : w.events) {
+        if (e.kind != trace::EventKind::Chunk) continue;
+        auto& vps = hits[e.serial];
+        vps.resize(static_cast<std::size_t>(p), 0);
+        for (int vp = e.x; vp < e.y; ++vp) ++vps[static_cast<std::size_t>(vp)];
+      }
     }
-    per_worker.push_back(chunks);
+    EXPECT_EQ(hits.size(), count_kind_on(snap.workers[0],
+                                         trace::EventKind::Region));
+    for (const auto& [serial, vps] : hits) {
+      for (int vp = 0; vp < p; ++vp) {
+        EXPECT_EQ(vps[static_cast<std::size_t>(vp)], 1)
+            << "region " << serial << " vp " << vp;
+      }
+    }
     return per_worker;
   };
 

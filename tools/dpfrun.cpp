@@ -19,7 +19,10 @@
 /// std::exception escaping the run prints `dpfrun: <name> failed: <what>`
 /// and exits 1. The metrics end with the arithmetic efficiency (FLOPs over
 /// busy core time times the per-core peak), the per-core peak, the cores
-/// the machine peak is scaled by and the peak probe's wall time.
+/// the machine peak is scaled by, the peak probe's wall time and the run's
+/// top-level SPMD regions: how many ran inline on the dispatching thread,
+/// how many fanned out to the worker pool and how many of those had to
+/// wake parked helpers (calibration and the peak probe excluded).
 /// `--checks-hex` appends each check value's raw
 /// IEEE-754 bit pattern to the output, the surface for bit-identity
 /// comparisons across processes and modes.
@@ -33,7 +36,9 @@
 /// dpf::trace timeline and prints the per-worker busy/comm/idle summary.
 /// `--trace FILE.json` records a full timeline and exports Chrome
 /// trace-event JSON (open in Perfetto or chrome://tracing);
-/// `--trace FILE.csv` keeps the CommLog CSV dump.
+/// `--trace FILE.csv` keeps the CommLog CSV dump. A trace that cannot be
+/// written prints `could not write trace to <path>` and exits 1 after the
+/// report.
 /// Combine with DPF_NET=algorithmic to price the message-passing
 /// formulations, or DPF_NET=overlap for the split-phase variants — the
 /// comm report then adds the per-pattern `overlap s` column (time payload
@@ -291,34 +296,36 @@ int cmd_run(const std::string& name, const std::vector<std::string>& args) {
 
   if (!trace_path.empty()) CommLog::instance().reset();
   if (chrome_trace || report_trace) trace::reset();
-  // Plan- and owner-table-memo counters over the run alone, not the
-  // calibration above.
+  // Plan- and owner-table-memo counters and region counts over the run
+  // alone, not the calibration above or the peak probe below.
+  Machine& machine = Machine::instance();
   const MemoStats plans0 = net::plan_memo().stats();
   const MemoStats owners0 = comm::detail::owner_table_memo().stats();
+  const Machine::RegionCounts regions0 = machine.region_counts();
   const auto r = def->run_with_defaults(cfg);
+  const Machine::RegionCounts regions1 = machine.region_counts();
   const MemoStats plans1 = net::plan_memo().stats();
   const MemoStats owners1 = comm::detail::owner_table_memo().stats();
   // Flush the timeline once, before the peak probe below can append its
   // own region to the rings.
   trace::Snapshot trace_snap;
   if (chrome_trace || report_trace) trace_snap = trace::collect();
+  bool trace_written = true;
   if (chrome_trace) {
-    if (trace::write_chrome_trace(trace_path, trace_snap)) {
+    trace_written = trace::write_chrome_trace(trace_path, trace_snap);
+    if (trace_written) {
       std::printf("timeline trace written to %s (open in Perfetto)\n",
                   trace_path.c_str());
-    } else {
-      std::fprintf(stderr, "could not write trace to %s\n",
-                   trace_path.c_str());
     }
   } else if (!trace_path.empty()) {
-    if (CommLog::instance().dump_csv(trace_path)) {
+    trace_written = CommLog::instance().dump_csv(trace_path);
+    if (trace_written) {
       std::printf("communication trace written to %s\n", trace_path.c_str());
-    } else {
-      std::fprintf(stderr, "could not write trace to %s\n",
-                   trace_path.c_str());
     }
   }
-  Machine& machine = Machine::instance();
+  if (!trace_written) {
+    std::fprintf(stderr, "could not write trace to %s\n", trace_path.c_str());
+  }
   const double core_peak = machine.core_peak_mflops();
   const auto print_efficiency = [&](const Metrics& m) {
     std::printf("  arithmetic efficiency  : %.2f%% of the per-core peak "
@@ -332,6 +339,17 @@ int cmd_run(const std::string& name, const std::vector<std::string>& args) {
               machine.peak_mflops(), machine.peak_cores());
   std::printf("  peak probe (sec.)      : %.6f\n",
               machine.peak_probe_seconds());
+  const auto region_delta = [](std::uint64_t before, std::uint64_t after) {
+    return static_cast<unsigned long long>(after - before);
+  };
+  const unsigned long long inlined =
+      region_delta(regions0.inlined, regions1.inlined);
+  const unsigned long long fanned =
+      region_delta(regions0.fanned_out, regions1.fanned_out);
+  std::printf("  regions                : %llu (%llu inline, %llu fanned out, "
+              "%llu woke parked helpers)\n",
+              inlined + fanned, inlined, fanned,
+              region_delta(regions0.woke, regions1.woke));
   for (const auto& [seg, m] : r.segments) {
     std::printf("\n%s", format_metrics("segment " + seg, m).c_str());
     print_efficiency(m);
@@ -441,6 +459,7 @@ int cmd_run(const std::string& name, const std::vector<std::string>& args) {
   if (report_trace) {
     std::printf("\n%s", trace::format_trace_summary(trace_snap).c_str());
   }
+  if (!trace_written) return 1;
   const auto it = r.checks.find("residual");
   return (it != r.checks.end() && it->second > 1e-3) ? 1 : 0;
 }
