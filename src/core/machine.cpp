@@ -38,19 +38,10 @@ inline void cpu_relax() {
 constexpr int kPauseSpins = 2048;
 constexpr int kYieldSpins = 64;
 
-// Grain rule (Machine::choose_inline). A site never timed inline may run
+// Grain rule (Machine::grain_rule): a site never timed inline may run
 // inline once on the evidence of its fan-outs alone, e.g. when they summed
-// to less than kTrialFanOuts of the cheapest fan-out seen. An inline site
-// checks its forecast by fanning out after kRecheckPeriod regions
-// (Site::check_period's first value), doubling the period up to
-// kMaxCheckPeriod while checks lose. The pool's cost estimates lapse
-// kCostLifetime regions after their last sample. A new sample of a site's
-// wake credit weighs kCreditWeight.
+// to less than kTrialFanOuts of the cheapest fan-out seen.
 constexpr double kTrialFanOuts = 8;
-constexpr std::uint32_t kRecheckPeriod = Machine::Site{}.check_period;
-constexpr std::uint32_t kMaxCheckPeriod = 1u << 20;
-constexpr std::uint64_t kCostLifetime = 4096;
-constexpr double kCreditWeight = 1.0 / 8;
 
 int hardware_threads() {
   return static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
@@ -126,14 +117,11 @@ void Machine::configure(int vps) {
   // thrashes the cursor line; claim ~8 chunks per worker instead.
   chunk_ = std::max<index_t>(1, vps_ / (workers_ * 8));
   busy_.assign(static_cast<std::size_t>(workers_), BusySlot{});
-  // Every call site's grain state and the pool's cost describe the old
-  // pool: start over.
+  // Every site's grain state and the pool's cost describe the old pool:
+  // start over.
   ++epoch_;
   cost_spinning_ = CostWindow{};
   cost_parked_ = CostWindow{};
-  cost_serial_ = region_serial_.load(std::memory_order_relaxed);
-  waker_ = nullptr;
-  burst_gain_ns_ = 0.0;
   start_pool();
   // The configuring thread dispatches regions as worker 0; helpers bind
   // themselves at the top of worker_loop. The trace reconfigure path is a
@@ -228,16 +216,10 @@ void Machine::worker_loop(int worker_id, std::uint64_t seen) {
   }
 }
 
-bool Machine::choose_inline(Site& site, bool parked) {
-  if (site.epoch != epoch_) {
-    site = Site{};
-    site.epoch = epoch_;
-  }
-  const std::uint32_t call = site.calls++;
-  // The helpers went back to sleep: the burst the last waker began is over.
-  if (parked) settle_burst();
+Machine::Grain Machine::grain_rule(const Site& site, const PoolCost& pool,
+                                   bool parked) {
   // The safe default: a site's first region fans out.
-  if (call == 0) return false;
+  if (site.calls == 0) return Grain::FanOut;
   // The serial body time: exact after an inline run; after a fan-out, the
   // summed chunk time, which overstates a small body (cross-core misses, a
   // clock pair per chunk), or the site's last exact time if lower.
@@ -253,42 +235,29 @@ bool Machine::choose_inline(Site& site, bool parked) {
   // margin counts: a body under half the site's last wall. Parked helpers
   // join only once awake, so the region lasts at least as long as a wake:
   // the pool's cost with the helpers parked, or the site's own wall from
-  // its last wake if lower, less what the fan-outs after this site's past
-  // wakes gained from finding the helpers spinning.
-  const double cost =
-      cost_spinning_.low > 0.0 ? cost_spinning_.low : cost_floor_ns_;
+  // its last wake if lower. An inline site fans out again only when these
+  // costs, which the fanning sites keep measuring, say it should.
+  const double cost = pool.spinning > 0.0 ? pool.spinning : pool.floor;
   double fan = site.wall_ns / 2;
   if (cost > 0.0) {
     fan = body / 2 + cost;
     if (site.fanout_ns >= 0.0) fan = std::min(fan, site.fanout_ns);
   }
   if (parked) {
-    fan = std::max(fan, cost_parked_.low);
+    fan = std::max(fan, pool.parked);
     if (site.woke_ns >= 0.0) fan = std::min(fan, site.woke_ns);
-    fan -= site.credit_ns;
   }
-  if (body >= fan) {
-    // Fanning out is predicted. A site never timed inline may be a small
-    // body overstated, when its summed chunks are within a few of the
-    // cheapest fan-outs seen or the dispatcher's own chunks, scaled to all
-    // VPs, took under half the wall: time it inline, once.
-    if (site.inline_ns < 0.0 && !site.tried &&
-        (body < kTrialFanOuts * cost_floor_ns_ ||
-         2 * site.own_serial_ns < site.wall_ns)) {
-      site.tried = true;
-      return true;
-    }
-    return false;
+  if (body < fan) return Grain::Inline;
+  // Fanning out is predicted. A site never timed inline may be a small
+  // body overstated, when its summed chunks are within a few of the
+  // cheapest fan-outs seen or the dispatcher's own chunks, scaled to all
+  // VPs, took under half the wall: time it inline, once.
+  if (site.inline_ns < 0.0 && !site.tried &&
+      (body < kTrialFanOuts * pool.floor ||
+       2 * site.own_serial_ns < site.wall_ns)) {
+    return Grain::Trial;
   }
-  // Inline is predicted. Fan out now and then anyway to refresh the
-  // evidence, backing off while such checks lose; a body under twice the
-  // cheapest fan-out seen could not win one, so it is never checked.
-  if (site.last_inline && call >= site.next_check && cost_floor_ns_ > 0.0 &&
-      body >= 2 * cost_floor_ns_) {
-    site.checking = true;
-    return false;
-  }
-  return true;
+  return Grain::FanOut;
 }
 
 void Machine::CostWindow::add(double sample) {
@@ -298,16 +267,6 @@ void Machine::CostWindow::add(double sample) {
   for (const double v : ns) {
     if (v > 0.0) low = std::min(low, v);
   }
-}
-
-void Machine::settle_burst() {
-  if (waker_ != nullptr) {
-    double& credit = waker_->credit_ns;
-    credit = credit == 0.0 ? burst_gain_ns_
-                           : credit + (burst_gain_ns_ - credit) * kCreditWeight;
-  }
-  waker_ = nullptr;
-  burst_gain_ns_ = 0.0;
 }
 
 double Machine::run_inline(RegionFn fn, void* ctx, std::uint64_t serial) {
@@ -387,18 +346,19 @@ void Machine::spmd_raw(RegionFn fn, void* ctx, Site* site) {
       region_serial_.fetch_add(1, std::memory_order_relaxed) + 1;
   const bool tracing = trace::enabled(trace::Mode::Summary);
   const std::uint64_t tr0 = tracing ? trace::now_ns() : 0;
-  // The pool's cost is sampled only by fan-outs, which the grain rule makes
-  // rare: forget an old estimate, so that a slow spell of the host (a
-  // helper sharing the dispatcher's core, say) does not outlive itself.
-  if (serial - cost_serial_ > kCostLifetime) {
-    cost_spinning_ = CostWindow{};
-    cost_parked_ = CostWindow{};
-    cost_serial_ = serial;
+  bool inline_run = workers_ == 1;
+  if (!inline_run && site != nullptr) {
+    if (site->epoch != epoch_) {
+      *site = Site{};
+      site->epoch = epoch_;
+    }
+    const Grain grain = grain_rule(
+        *site, {cost_spinning_.low, cost_parked_.low, cost_floor_ns_},
+        parked_.load(std::memory_order_relaxed) > 0);
+    ++site->calls;
+    if (grain == Grain::Trial) site->tried = true;
+    inline_run = grain != Grain::FanOut;
   }
-  const bool inline_run =
-      workers_ == 1 ||
-      (site != nullptr &&
-       choose_inline(*site, parked_.load(std::memory_order_relaxed) > 0));
   if (inline_run) {
     const double ns = run_inline(fn, ctx, serial);
     ++counts_.inlined;
@@ -418,20 +378,11 @@ void Machine::spmd_raw(RegionFn fn, void* ctx, Site* site) {
     // late that the dispatcher parked at the barrier (descheduled, say).
     if (f.sum_ns < wall && 2 * f.own_ns < wall && !f.parked_wait) {
       (f.woke ? cost_parked_ : cost_spinning_).add(wall);
-      cost_serial_ = serial;
       if (!f.woke && (cost_floor_ns_ == 0.0 || wall < cost_floor_ns_)) {
         cost_floor_ns_ = wall;
       }
     }
     if (site != nullptr) {
-      if (site->checking) {
-        site->checking = false;
-        site->check_period = wall < site->inline_ns
-                                 ? kRecheckPeriod
-                                 : std::min(2 * site->check_period,
-                                            kMaxCheckPeriod);
-        site->next_check = site->calls + site->check_period;
-      }
       site->wall_ns = wall;
       site->sum_ns = f.sum_ns;
       site->own_serial_ns = f.own_serial_ns;
@@ -444,14 +395,6 @@ void Machine::spmd_raw(RegionFn fn, void* ctx, Site* site) {
         site->fanout_ns = wall;
       }
       site->last_inline = false;
-    }
-    // Credit the site that woke the helpers with what each later fan-out
-    // gains from finding them spinning.
-    if (f.woke) {
-      settle_burst();
-      waker_ = site;
-    } else if (site != nullptr && site->inline_ns > wall) {
-      burst_gain_ns_ += site->inline_ns - wall;
     }
   }
   if (tracing) trace::region(serial, tr0, trace::now_ns(), vps_);

@@ -27,10 +27,11 @@
 /// Grain: a top-level region whose serial body is expected to take less
 /// than fanning it out would cost now runs inline on the dispatching thread,
 /// VPs 0..P-1 in order, exactly as with a single worker (the default on a
-/// single-core host). spmd() keeps the evidence per call site: the site's
-/// own inline times and fan-out walls, and the pool's measured fan-out cost
-/// with helpers spinning and with helpers parked. A site's first region in a
-/// configure() epoch always fans out; so does every spmd_raw() call that
+/// single-core host). grain_rule() decides from two kinds of evidence: a
+/// Site's own inline times and fan-out walls, which spmd() keeps per body
+/// type, and the pool's fan-out cost with helpers spinning and with helpers
+/// parked, which the fan-outs measure as they run. A site's first region in
+/// a configure() epoch always fans out; so does every spmd_raw() call that
 /// names no site.
 
 #include <array>
@@ -81,9 +82,17 @@ class Machine {
   /// dispatching thread).
   [[nodiscard]] int workers() const { return workers_; }
 
-  /// Grain state of one call site of spmd(). spmd() keeps one per body
-  /// type, so one per call site; only the dispatching thread reads or
-  /// writes it, inside a top-level spmd_raw(). Times are in ns.
+  /// Grain evidence of one body type of spmd(). spmd() keys it by the
+  /// body's type, not by its caller, so every caller of one library
+  /// instantiation shares one Site. In two perfbench passes, 12,424 of the
+  /// exchange workload's 16,535 top-level regions ran on 8 Sites in
+  /// dpf::net that all eight members draw on (planned_post, planned_local
+  /// and planned_consume for double and complex<double>, and
+  /// allgather_slots<double>'s two), and 8,937 of the suite's 18,115 on
+  /// Sites of core and comm templates (cshift_into's sweep, copy,
+  /// fill_par, dot, the reductions, ShiftBundle::start). Only the
+  /// dispatching thread reads or writes it, inside a top-level spmd_raw().
+  /// Times are in ns.
   struct Site {
     std::uint64_t epoch = 0;   ///< configure() epoch the state belongs to
     double inline_ns = -1.0;   ///< the last inline run's body time (exact)
@@ -92,14 +101,29 @@ class Machine {
     double wall_ns = 0.0;      ///< the last fan-out's wall
     double sum_ns = 0.0;       ///< the last fan-out's summed chunk time
     double own_serial_ns = 0.0;  ///< the dispatcher's share, scaled to P
-    double credit_ns = 0.0;    ///< what fan-outs after its wakes gained
     std::uint32_t calls = 0;   ///< regions run this epoch
-    std::uint32_t next_check = 64;    ///< call of the next checking fan-out
-    std::uint32_t check_period = 64;  ///< calls between checks
     bool last_inline = false;  ///< how the last region ran
     bool tried = false;        ///< ran inline before inline_ns was known
-    bool checking = false;     ///< this fan-out checks an inline forecast
   };
+
+  /// The pool's cost of a fan-out as the grain rule reads it, in ns (0
+  /// until sampled): the lowest recent wall with the helpers spinning and
+  /// with them parked, and the cheapest spinning wall the process has seen.
+  struct PoolCost {
+    double spinning = 0.0;
+    double parked = 0.0;
+    double floor = 0.0;
+  };
+
+  /// How a site's next region runs: inline, fanned out, or inline once to
+  /// time a body that its fan-outs may overstate.
+  enum class Grain { Inline, FanOut, Trial };
+
+  /// The grain rule: how `site`'s next region runs, given the pool's cost
+  /// and whether the helpers are parked. A pure function of its arguments;
+  /// spmd_raw() keeps the site's epoch, call count and trial flag.
+  [[nodiscard]] static Grain grain_rule(const Site& site, const PoolCost& pool,
+                                        bool parked);
 
   /// Top-level regions by how they ran, counted by the dispatching thread
   /// since the machine was constructed (configure() does not reset them).
@@ -113,7 +137,7 @@ class Machine {
   /// Time spent in region bodies accrues to busy time. Nested calls from
   /// inside a region body execute inline on the calling VP (the machine is
   /// a flat SPMD model, like CMF). Whether a top-level region fans out to
-  /// the pool or runs inline on the dispatcher is decided per call site
+  /// the pool or runs inline on the dispatcher is decided per body type
   /// (file comment); the VPs and their results are the same either way.
   template <typename F>
   void spmd(F&& body) {
@@ -214,11 +238,6 @@ class Machine {
     bool parked_wait;
   };
   FanOut fan_out(RegionFn fn, void* ctx);
-  /// The grain rule: true when `site`'s next region should run inline.
-  bool choose_inline(Site& site, bool parked);
-  /// Credits the site whose fan-out last woke the helpers with the gains
-  /// of the fan-outs that found them spinning since, and forgets it.
-  void settle_burst();
 
   int vps_ = 1;
   int workers_ = 1;
@@ -256,11 +275,8 @@ class Machine {
   /// pool's own cost, by the helpers' state at publication.
   CostWindow cost_spinning_;
   CostWindow cost_parked_;
-  std::uint64_t cost_serial_ = 0;  ///< region of the last cost sample
   /// The cheapest fan-out with helpers spinning this process has seen.
   double cost_floor_ns_ = 0.0;
-  Site* waker_ = nullptr;       ///< the site whose fan-out last woke helpers
-  double burst_gain_ns_ = 0.0;  ///< fan-out gains since that wake
   RegionCounts counts_;
 
   // --- park/wake slow path ---------------------------------------------

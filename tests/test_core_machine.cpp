@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <cstdlib>
 #include <optional>
 #include <string>
@@ -220,6 +221,75 @@ TEST_F(MachineTest, SingleWorkerRunsEveryRegionInline) {
   EXPECT_EQ(bodies.load(), 3 * 8);
   EXPECT_EQ(after.inlined - before.inlined, 3u);
   EXPECT_EQ(after.fanned_out, before.fanned_out);
+}
+
+// The grain rule's decisions from fixed evidence: no clock, no pool. Times
+// are in ns; the pool's fan-out costs 2 us with the helpers spinning and
+// 30 us with them parked.
+using Grain = Machine::Grain;
+constexpr Machine::PoolCost kPool{2'000.0, 30'000.0, 2'000.0};
+
+// A site whose last region, one of `calls` so far, ran inline in `ns`.
+Machine::Site inline_site(double ns, std::uint32_t calls = 10) {
+  Machine::Site s;
+  s.calls = calls;
+  s.inline_ns = ns;
+  s.last_inline = true;
+  return s;
+}
+
+TEST(GrainRuleTest, FirstRegionFansOut) {
+  EXPECT_EQ(Machine::grain_rule(Machine::Site{}, kPool, false),
+            Grain::FanOut);
+  EXPECT_EQ(Machine::grain_rule(Machine::Site{}, kPool, true), Grain::FanOut);
+  EXPECT_EQ(Machine::grain_rule(Machine::Site{}, {}, false), Grain::FanOut);
+}
+
+TEST(GrainRuleTest, ExactOneMicrosecondBodyRunsInline) {
+  EXPECT_EQ(Machine::grain_rule(inline_site(1'000.0), kPool, false),
+            Grain::Inline);
+}
+
+TEST(GrainRuleTest, HundredMicrosecondBodyFansOutToSpinningHelpers) {
+  EXPECT_EQ(Machine::grain_rule(inline_site(100'000.0), kPool, false),
+            Grain::FanOut);
+}
+
+// Parked helpers cost a 30 us wake, more than an 8 us body: the site never
+// fans out to check, however many regions it runs.
+TEST(GrainRuleTest, EightMicrosecondBodyStaysInlineWhileHelpersPark) {
+  for (std::uint32_t calls = 1; calls <= 5'000; ++calls) {
+    ASSERT_EQ(Machine::grain_rule(inline_site(8'000.0, calls), kPool, true),
+              Grain::Inline)
+        << "call " << calls;
+  }
+}
+
+// A body that went inline in a slow spell (fan-outs costing 140 us) fans out
+// again once the pool's cost reads 2 us.
+TEST(GrainRuleTest, BodyInlinedInSlowSpellFansOutAfterIt) {
+  const Machine::Site s = inline_site(100'000.0);
+  EXPECT_EQ(Machine::grain_rule(s, {140'000.0, 0.0, 2'000.0}, false),
+            Grain::Inline);
+  EXPECT_EQ(Machine::grain_rule(s, kPool, false), Grain::FanOut);
+}
+
+// Summed chunks of 10 us, under 8 of the cheapest 2 us fan-outs, may be a
+// smaller body overstated: time it inline once, then trust the fan-outs.
+TEST(GrainRuleTest, OneTrialWhenChunksSumUnderEightFanOuts) {
+  Machine::Site s;
+  s.calls = 1;
+  s.wall_ns = 6'000.0;
+  s.fanout_ns = 6'000.0;
+  s.sum_ns = 10'000.0;
+  s.own_serial_ns = 12'000.0;
+  EXPECT_EQ(Machine::grain_rule(s, kPool, false), Grain::Trial);
+  s.tried = true;
+  EXPECT_EQ(Machine::grain_rule(s, kPool, false), Grain::FanOut);
+  s.tried = false;
+  s.sum_ns = 20'000.0;  // 10 fan-outs: no trial
+  s.own_serial_ns = 24'000.0;
+  EXPECT_EQ(Machine::grain_rule(s, kPool, false), Grain::FanOut);
 }
 
 TEST_F(MachineTest, DefaultVpsRespectsEnvironmentBounds) {

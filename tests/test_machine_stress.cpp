@@ -120,8 +120,8 @@ TEST_F(MachineStressTest, BusyTimeAccumulatesOverNestedRegions) {
   EXPECT_LT(m.busy_seconds(), 0.1);
 }
 
-// Runs `body` through the untyped entry point, which names no call site
-// and so always fans the region out to the pool, however small the body.
+// Runs `body` through the untyped entry point, which names no site and so
+// always fans the region out to the pool, however small the body.
 template <typename F>
 void fan_out(Machine& m, F& body) {
   m.spmd_raw([](void* ctx, int vp) { (*static_cast<F*>(ctx))(vp); }, &body);

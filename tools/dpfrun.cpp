@@ -14,16 +14,18 @@
 /// 2) naming the flag. Keys a benchmark does not declare are passed through:
 /// some runners read optional keys (qr's `dtype`, n-body's `variant`). A
 /// value the runner cannot run (fft's n=3, qr's dtype=7) is a usage error
-/// too: `dpfrun: <name>: <rule>`, exit 2. An unknown benchmark name exits
-/// with code 3 and a "did you mean" suggestion list. Any other
+/// too: `dpfrun: <name>: <rule>`, exit 2. So is any argument after `list`
+/// other than `--long`, and any after `info <name>`. An unknown benchmark
+/// name exits with code 3 and a "did you mean" suggestion list. Any other
 /// std::exception escaping the run prints `dpfrun: <name> failed: <what>`
-/// and exits 1. The metrics end with the arithmetic efficiency (FLOPs over
-/// busy core time times the per-core peak), the per-core peak, the cores
-/// the machine peak is scaled by, the peak probe's wall time and the run's
-/// top-level SPMD regions: how many ran inline on the dispatching thread,
-/// how many fanned out to the worker pool and how many of those had to
-/// wake parked helpers (calibration and the peak probe excluded).
-/// `--checks-hex` appends each check value's raw
+/// and exits 1, and so does a run whose `residual` check is not within
+/// 1e-3 of zero (NaN included). The metrics end with the arithmetic
+/// efficiency (FLOPs over busy core time times the per-core peak), the
+/// per-core peak, the cores the machine peak is scaled by, the peak
+/// probe's wall time and the run's top-level SPMD regions: how many ran
+/// inline on the dispatching thread, how many fanned out to the worker
+/// pool and how many of those had to wake parked helpers (calibration and
+/// the peak probe excluded). `--checks-hex` appends each check value's raw
 /// IEEE-754 bit pattern to the output, the surface for bit-identity
 /// comparisons across processes and modes.
 ///
@@ -52,6 +54,7 @@
 ///   DPF_NET=overlap dpfrun run fem-3D --vps=16 --report comm
 
 #include <cerrno>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -460,25 +463,34 @@ int cmd_run(const std::string& name, const std::vector<std::string>& args) {
     std::printf("\n%s", trace::format_trace_summary(trace_snap).c_str());
   }
   if (!trace_written) return 1;
+  // A residual fails the run unless it is a number within 1e-3 of zero:
+  // NaN fails too.
   const auto it = r.checks.find("residual");
-  return (it != r.checks.end() && it->second > 1e-3) ? 1 : 0;
+  if (it != r.checks.end() && !(std::abs(it->second) <= 1e-3)) {
+    std::fprintf(stderr, "dpfrun: %s: residual %g is not within 1e-3\n",
+                 name.c_str(), it->second);
+    return 1;
+  }
+  return 0;
+}
+
+int usage() {
+  std::fprintf(stderr, "usage: dpfrun list [--long] | info <name> | "
+                       "run <name> [options]\n");
+  return 2;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   dpf::register_all_benchmarks();
-  if (argc < 2) {
-    std::fprintf(stderr,
-                 "usage: dpfrun list | info <name> | run <name> [options]\n");
-    return 2;
-  }
+  if (argc < 2) return usage();
   const std::string cmd = argv[1];
-  if (cmd == "list") {
-    const bool long_mode = argc >= 3 && std::strcmp(argv[2], "--long") == 0;
-    return cmd_list(long_mode);
+  if (cmd == "list" && argc == 2) return cmd_list(false);
+  if (cmd == "list" && argc == 3 && std::strcmp(argv[2], "--long") == 0) {
+    return cmd_list(true);
   }
-  if (cmd == "info" && argc >= 3) return cmd_info(argv[2]);
+  if (cmd == "info" && argc == 3) return cmd_info(argv[2]);
   if (cmd == "run" && argc >= 3) {
     std::vector<std::string> args;
     for (int i = 3; i < argc; ++i) args.emplace_back(argv[i]);
@@ -494,7 +506,5 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  std::fprintf(stderr,
-               "usage: dpfrun list | info <name> | run <name> [options]\n");
-  return 2;
+  return usage();
 }
