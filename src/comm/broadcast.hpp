@@ -19,7 +19,7 @@
 namespace dpf::comm {
 
 /// Replicates a scalar over every element of dst; recorded as a Broadcast
-/// from rank 0 (scalar) to rank R. Under DPF_NET=algorithmic the scalar
+/// from rank 0 (scalar) to rank R. Under DPF_NET=overlap the scalar
 /// travels a binomial tree through the transport and each VP fills its own
 /// block with the copy it received (bit-exact, so both modes agree).
 template <typename T, std::size_t R>
@@ -77,7 +77,7 @@ void spread_into(Array<T, R>& dst, const Array<T, R - 1>& src,
   detail::OpTimer timer;
   if (net::algorithmic() && p > 1) {
     // Personalized exchange: every replica crosses as one message element.
-    const auto plan = net::plan_for(key.h, 0, dst.size(), p, source_of,
+    const auto plan = net::plan_for(key.h, dst.size(), p, source_of,
                                     owner_dst, owner_src);
     net::exchange_planned(dst.data().data(), src.data().data(), *plan);
   } else {

@@ -10,17 +10,17 @@
 /// Accounting follows the payload-once rule (see CommEvent): the event's
 /// `bytes` is the array payload counted once, whether the exchange runs
 /// out-of-place, in-place, or stages through a snapshot/transport on the
-/// algorithmic path. A naive formulation that records the staging copy as a
-/// second event would double-count the motion; the regression tests in
-/// test_net_transport.cpp pin this down.
+/// message-passing path. A naive formulation that records the staging copy
+/// as a second event would double-count the motion; the regression tests
+/// in test_net_transport.cpp pin this down.
 
 #include <vector>
 
 #include "comm/detail.hpp"
-#include "comm/pipeline.hpp"
 #include "core/array.hpp"
 #include "core/machine.hpp"
 #include "core/ops.hpp"
+#include "net/exchange_plan.hpp"
 
 namespace dpf::comm {
 
@@ -38,7 +38,6 @@ void butterfly_into(Array<T, R>& dst, const Array<T, R>& src, index_t h) {
   const bool inplace = detail::same_store(dst, src);
   const int p = Machine::instance().vps();
   detail::OpTimer timer;
-  detail::PipelineStats ps;
 
   if (net::algorithmic() && p > 1) {
     const T* sp = src.data().data();
@@ -56,11 +55,11 @@ void butterfly_into(Array<T, R>& dst, const Array<T, R>& src, index_t h) {
     skey.mix(sizeof(T));
     skey.mix_owner_structure(src, p);
     skey.mix_owner_structure(dst, p);
-    ps = detail::planned_engine_exchange(
-        dst.data().data(), n, sp, skey.h, CommPattern::Butterfly,
-        [=](index_t L) { return L ^ h; },
+    const auto plan = net::plan_for(
+        skey.h, n, p, [=](index_t L) { return L ^ h; },
         [&](index_t L) { return detail::owner_id_linear(dst, L); },
         [&](index_t j) { return detail::owner_id_linear(src, j); });
+    net::exchange_planned(dst.data().data(), sp, *plan);
   } else if (inplace) {
     // Pair swap: pair k couples i and i + h with i = (k/h)*2h + k%h.
     T* dp = dst.data().data();
@@ -101,15 +100,9 @@ void butterfly_into(Array<T, R>& dst, const Array<T, R>& src, index_t h) {
       return moved;
     });
   }
-  if (ps.split) {
-    detail::record_split(CommPattern::Butterfly, static_cast<int>(R),
-                         static_cast<int>(R), src.bytes(), offproc, h,
-                         ps.seconds, ps.overlap_seconds, ps.blocks);
-  } else {
-    detail::record(CommPattern::Butterfly, static_cast<int>(R),
-                   static_cast<int>(R), src.bytes(), offproc, h,
-                   timer.seconds());
-  }
+  detail::record(CommPattern::Butterfly, static_cast<int>(R),
+                 static_cast<int>(R), src.bytes(), offproc, h,
+                 timer.seconds());
 }
 
 /// Returns butterfly(src, h) as a library temporary.

@@ -102,7 +102,7 @@ template <typename T, std::size_t R>
   key.mix_owner_structure(src, p);
   key.mix_owner_structure(dst, p);
   return net::plan_for(
-      key.h, 0, src.size(), p,
+      key.h, src.size(), p,
       [slab, rot](index_t L) {
         const index_t base = (L / slab) * slab;
         const index_t k = L - base + rot;
@@ -130,7 +130,7 @@ template <typename T, std::size_t R>
   key.mix_owner_structure(src, p);
   key.mix_owner_structure(dst, p);
   return net::plan_for(
-      key.h, 0, src.size(), p,
+      key.h, src.size(), p,
       [slab, shift_elems, copy_lo, copy_hi](index_t L) -> index_t {
         const index_t k = L % slab;
         if (k < copy_lo || k >= copy_hi) return -1;  // boundary fill
@@ -356,7 +356,7 @@ class [[nodiscard]] ShiftBundle {
     if (engine_) {
       if (trace::enabled(trace::Mode::Summary)) {
         trace::overlap_span(static_cast<std::uint8_t>(items_[0].pattern),
-                            posted_bytes_, post_end_ns_, f0, 0);
+                            posted_bytes_, post_end_ns_, f0);
       }
       const double seconds =
           static_cast<double>((post_end_ns_ - start_ns_) + (f1 - f0)) * 1e-9 /

@@ -25,7 +25,7 @@ namespace dpf::comm::detail {
 /// `seconds` field of the recorded CommEvent. Every recording primitive
 /// constructs one at its top, so the embedded RecordScope marks the
 /// primitive's dynamic extent: collectives a primitive calls internally
-/// (the DPF_NET=algorithmic realizations) see themselves nested and their
+/// (the DPF_NET=overlap realizations) see themselves nested and their
 /// events are dropped in favour of the outermost pattern.
 class OpTimer {
  public:
@@ -167,7 +167,7 @@ using OwnerTable = std::vector<int>;
 /// plus the ownership structure. The element type is not in the key, so
 /// arrays of different types with one structure share one table. The
 /// suite's router operations touch 9 structures at DPF_VPS=16 under
-/// DPF_NET=direct, algorithmic and overlap, so a warm pass builds no table.
+/// DPF_NET=direct and overlap, so a warm pass builds no table.
 using OwnerTableMemo = LruMemo<std::shared_ptr<const OwnerTable>, 16>;
 
 /// This thread's owner-table memo; its stats() count table builds and
@@ -213,7 +213,7 @@ template <typename T, std::size_t R>
 }
 
 /// Routes per-VP reduction/scan partials through the transport allgather
-/// when the algorithmic formulation is selected. The gathered copies are
+/// when the message-passing formulation is selected. The gathered copies are
 /// bit-exact, so the caller's ascending combine loop — and therefore the
 /// floating-point result — is unchanged.
 template <typename T>
@@ -243,13 +243,11 @@ inline void record(CommPattern pattern, int src_rank, int dst_rank,
 /// predicted-vs-measured comparable for overlapped collectives.
 inline void record_split(CommPattern pattern, int src_rank, int dst_rank,
                          index_t bytes, index_t offproc_bytes, index_t detail,
-                         double seconds, double overlap_seconds,
-                         int blocks = 1) {
+                         double seconds, double overlap_seconds) {
   CommEvent e{pattern, src_rank, dst_rank, bytes, offproc_bytes, detail};
   e.seconds = seconds;
   e.overlap_seconds = overlap_seconds;
   e.split_phase = true;
-  e.blocks = blocks;
   net::annotate(e);
   CommLog::instance().record(e);
 }

@@ -80,7 +80,7 @@ template <typename T, std::size_t RD, std::size_t RS>
   const auto od = detail::owner_table(dst);
   const auto os = detail::owner_table(src);
   st.plan = net::build_exchange_plan(
-      0, src.size(), p, [](index_t j) { return j; },
+      src.size(), p, [](index_t j) { return j; },
       [&](index_t j) { return (*od)[mp[j]]; },
       [&](index_t j) { return (*os)[j]; });
   st.slots.resize(static_cast<std::size_t>(src.size()));
@@ -154,7 +154,7 @@ void gather_into(Array<T, RD>& dst, const Array<T, RS>& src,
     const auto od = detail::owner_table(dst);
     const auto os = detail::owner_table(src);
     const auto plan = net::build_exchange_plan(
-        0, dst.size(), p, [mp](index_t i) { return mp[i]; },
+        dst.size(), p, [mp](index_t i) { return mp[i]; },
         [&](index_t i) { return (*od)[i]; },
         [&](index_t j) { return (*os)[j]; });
     net::exchange_planned(dst.data().data(), src.data().data(), *plan);
@@ -259,7 +259,7 @@ class [[nodiscard]] ScatterAddHandle {
       if (trace::enabled(trace::Mode::Summary)) {
         trace::overlap_span(static_cast<std::uint8_t>(pattern_),
                             staged_.plan->posted_bytes(sizeof(T)),
-                            post_end_ns_, f0, 0);
+                            post_end_ns_, f0);
       }
       detail::record_split(pattern_, static_cast<int>(RS),
                            static_cast<int>(RD), src_->bytes(), offproc, 0,

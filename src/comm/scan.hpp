@@ -37,7 +37,7 @@ void scan_sum_into(Array<T, 1>& dst, const Array<T, 1>& src,
     }
     block_total[static_cast<std::size_t>(vp)] = acc;
   });
-  // Under DPF_NET=algorithmic the block totals travel the transport
+  // Under DPF_NET=overlap the block totals travel the transport
   // allgather; the copies are bit-exact, so the exclusive prefix below (and
   // therefore the scan) is unchanged.
   detail::share_partials(block_total);

@@ -25,6 +25,29 @@
 
 namespace dpf::comm {
 
+namespace detail {
+
+/// Halo traffic of a stencil of `halo_width` over `a`: under BLOCK
+/// distribution one slab of `halo_width` slots crosses each internal
+/// boundary in each direction along every gridded axis; under CYCLIC
+/// essentially every neighbour reference is remote.
+template <typename T, std::size_t R>
+[[nodiscard]] index_t halo_offproc_bytes(const Array<T, R>& a,
+                                         index_t halo_width) {
+  const int p = Machine::instance().vps();
+  if (p <= 1 || !a.layout().has_parallel_axis()) return 0;
+  if (a.layout().dist() != Dist::Block) return a.bytes() * (p - 1) / p;
+  index_t offproc = 0;
+  for (std::size_t ax = 0; ax < R; ++ax) {
+    const int g = a.layout().procs_on_axis(ax, p);
+    if (g <= 1) continue;
+    offproc += 2 * (g - 1) * halo_width * (a.bytes() / a.extent(ax));
+  }
+  return offproc;
+}
+
+}  // namespace detail
+
 /// Applies a stencil over the interior of a rank-R grid:
 ///   dst(idx) = fn(i) for every interior linear index i,
 /// where `fn` may read src at i plus offsets. `points` is the stencil's
@@ -107,24 +130,9 @@ void stencil_interior(Array<T, R>& dst, const Array<T, R>& src, index_t points,
     flops::add_weighted(flops_per_elem * interior);
   }
 
-  // Halo traffic: under BLOCK distribution one slab of `halo_width` slots
-  // crosses each internal boundary in each direction along every gridded
-  // axis; under CYCLIC essentially every neighbour reference is remote.
-  index_t offproc = 0;
-  const int p = Machine::instance().vps();
-  if (p > 1 && src.layout().has_parallel_axis()) {
-    if (src.layout().dist() == Dist::Block) {
-      for (std::size_t a = 0; a < R; ++a) {
-        const int g = src.layout().procs_on_axis(a, p);
-        if (g <= 1) continue;
-        offproc += 2 * (g - 1) * halo_width * (src.bytes() / ext[a]);
-      }
-    } else {
-      offproc = src.bytes() * (p - 1) / p;
-    }
-  }
   detail::record(CommPattern::Stencil, static_cast<int>(R),
-                 static_cast<int>(R), src.bytes(), offproc, points,
+                 static_cast<int>(R), src.bytes(),
+                 detail::halo_offproc_bytes(src, halo_width), points,
                  timer.seconds());
 }
 
@@ -270,21 +278,9 @@ void assign_interior_first(Array<T, R>& dst, index_t halo,
 template <typename T, std::size_t R>
 void record_stencil(const Array<T, R>& a, index_t points,
                     index_t halo_width = 1) {
-  const int p = Machine::instance().vps();
-  index_t offproc = 0;
-  if (p > 1 && a.layout().has_parallel_axis()) {
-    if (a.layout().dist() == Dist::Block) {
-      for (std::size_t ax = 0; ax < R; ++ax) {
-        const int g = a.layout().procs_on_axis(ax, p);
-        if (g <= 1) continue;
-        offproc += 2 * (g - 1) * halo_width * (a.bytes() / a.extent(ax));
-      }
-    } else {
-      offproc = a.bytes() * (p - 1) / p;
-    }
-  }
   detail::record(CommPattern::Stencil, static_cast<int>(R),
-                 static_cast<int>(R), a.bytes(), offproc, points);
+                 static_cast<int>(R), a.bytes(),
+                 detail::halo_offproc_bytes(a, halo_width), points);
 }
 
 }  // namespace dpf::comm

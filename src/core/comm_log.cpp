@@ -94,18 +94,17 @@ bool CommLog::dump_csv(const std::string& path) const {
   if (f == nullptr) return false;
   std::fprintf(f,
                "seq,pattern,src_rank,dst_rank,bytes,offproc_bytes,detail,"
-               "seconds,predicted_seconds,hops,overlap_seconds,split_phase,"
-               "blocks\n");
+               "seconds,predicted_seconds,hops,overlap_seconds,split_phase\n");
   const std::vector<CommEvent> snapshot = events();
   for (std::size_t i = 0; i < snapshot.size(); ++i) {
     const CommEvent& e = snapshot[i];
-    std::fprintf(f, "%zu,%s,%d,%d,%lld,%lld,%lld,%.9f,%.9f,%d,%.9f,%d,%d\n",
+    std::fprintf(f, "%zu,%s,%d,%d,%lld,%lld,%lld,%.9f,%.9f,%d,%.9f,%d\n",
                  i, std::string(to_string(e.pattern)).c_str(), e.src_rank,
                  e.dst_rank, static_cast<long long>(e.bytes),
                  static_cast<long long>(e.offproc_bytes),
                  static_cast<long long>(e.detail), e.seconds,
                  e.predicted_seconds, e.hops, e.overlap_seconds,
-                 e.split_phase ? 1 : 0, e.blocks);
+                 e.split_phase ? 1 : 0);
   }
   std::fclose(f);
   return true;

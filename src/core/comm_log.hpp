@@ -91,11 +91,6 @@ struct CommEvent {
   /// comparable (see METRICS.md, overlapped-phase accounting).
   double overlap_seconds = 0.0;
   bool split_phase = false;  ///< posted and completed in separate phases
-  /// Split-phase operations only: number of pipelined in-flight blocks the
-  /// exchange was split into (1 = a single post/complete pair). The cost
-  /// model floors the charged remainder at `blocks` region latencies and
-  /// prices one extra post/consume region pair per block.
-  int blocks = 1;
 };
 
 /// Key used when aggregating events for the pattern-inventory tables.
@@ -111,7 +106,7 @@ struct CommKey {
 class CommLog {
  public:
   /// RAII marker for the dynamic extent of one recording primitive on the
-  /// calling thread. When primitives nest — e.g. a DPF_NET=algorithmic
+  /// calling thread. When primitives nest — e.g. a DPF_NET=overlap
   /// cshift realized through net::exchange_planned, which is itself a
   /// recording collective — only the *outermost* scope's event is kept:
   /// record() drops events arriving at depth > 1, so payload bytes are

@@ -42,7 +42,7 @@ inline int log2_ceil(int p) {
 /// RAII recorder for one engine collective. When the collective is invoked
 /// directly (not nested inside a recording comm primitive) it is itself a
 /// communication operation and logs one event whose bytes are the transport
-/// payload it posted. Nested invocations — every DPF_NET=algorithmic comm
+/// payload it posted. Nested invocations — every DPF_NET=overlap comm
 /// primitive routes through here — see a non-outermost RecordScope and stay
 /// silent, so the payload is attributed to the outermost pattern only.
 class EngineRecord {

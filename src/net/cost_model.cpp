@@ -135,7 +135,7 @@ double probe_delta() {
   // pattern the engine is asked to price, so the calibrated constant
   // bounds the cheaper shift/gather maps from above.
   const auto plan = build_exchange_plan(
-      0, kElems, Machine::instance().vps(),
+      kElems, Machine::instance().vps(),
       [](index_t i) { return (i % kSide) * kSide + i / kSide; },
       [&](index_t L) { return comm::detail::owner_id_linear(dst, L); },
       [&](index_t J) { return comm::detail::owner_id_linear(src, J); });
@@ -270,12 +270,10 @@ double CostModel::predict(const CommEvent& e, int p, int workers,
 
   // Split-phase events report the unhidden remainder: the phase costs
   // minus the in-flight window the caller's compute covered, floored at
-  // one region latency per pipelined block (each block's completion phase
-  // synchronizes once).
-  const double blocks = static_cast<double>(std::max(1, e.blocks));
+  // one region latency (the completion phase synchronizes once).
   const auto charge = [&](double base) {
     if (!e.split_phase) return base;
-    return std::max(blocks * alpha, base - e.overlap_seconds);
+    return std::max(alpha, base - e.overlap_seconds);
   };
 
   if (algorithmic) {
@@ -294,13 +292,12 @@ double CostModel::predict(const CommEvent& e, int p, int workers,
         break;  // no algorithmic formulation; fall through to direct below
       default:
         // Engine patterns: the posting and fetching regions (split-phase
-        // runs pay a third region for the local pass between them, and a
-        // pipelined exchange pays one post/consume pair per block) plus
+        // runs pay a third region for the local pass between them) plus
         // the calibrated per-element cost of the pack/post/probe/fetch/
         // unpack machinery, with off-processor bytes paying the fat-tree
         // contention surcharge.
-        return charge((e.split_phase ? 2.0 * blocks + 1.0 : 2.0) * alpha +
-                      delta * n + beta * offproc * (hop_factor - 1.0));
+        return charge((e.split_phase ? 3.0 : 2.0) * alpha + delta * n +
+                      beta * offproc * (hop_factor - 1.0));
     }
   }
 

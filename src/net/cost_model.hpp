@@ -73,8 +73,8 @@ class CostModel {
   [[nodiscard]] double pattern_hops(CommPattern pat, int p) const;
 
   /// Predicted wall time of the collective described by `e` on p VPs
-  /// serviced by `workers` threads, under the direct or the algorithmic
-  /// (message-passing) formulation. Returns 0 when not calibrated.
+  /// serviced by `workers` threads, under the direct or the message-passing
+  /// formulation. Returns 0 when not calibrated.
   ///
   /// Split-phase events (e.split_phase) are priced as their *unhidden*
   /// cost: the posting and completion phases pay their region handshakes

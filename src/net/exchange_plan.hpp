@@ -17,17 +17,11 @@
 /// machine and no map or owner calls on the hot path. build_exchange_plan
 /// scans destination indices ascending, so each message is consumed in
 /// exactly the order it was packed and every element is a bit-exact copy;
-/// results stay bit-identical across DPF_NET=direct|algorithmic|overlap.
+/// results stay bit-identical across DPF_NET=direct|overlap.
 /// When the map is a pure function of (shape, layout, p) — shifts,
 /// transposes, spreads — the same plan serves every iteration (plan_for);
 /// a map that is data (gather, the combining scatters) builds its plan per
 /// call.
-///
-/// Plans restricted to a destination index range [lo, hi) support the
-/// pipelined block formulation of transpose/butterfly: each block is an
-/// independent exchange over a slice of the destination, so block k+1 can
-/// be posted while block k's payload is unpacked (HPCC PTRANS diagonal
-/// blocking).
 ///
 /// The multi-op entry points (planned_post / planned_local /
 /// planned_consume over a span of PlanOps) fuse several exchanges into one
@@ -49,12 +43,10 @@
 namespace dpf::net {
 
 /// One immutable routing table for dst[i] = src[map(i)] over destination
-/// indices [lo, hi). Shareable across calls (and cached — see PlanMemo);
+/// indices [0, n). Shareable across calls (and cached — see PlanMemo);
 /// never mutated after build.
 struct ExchangePlan {
   int p = 1;
-  index_t lo = 0;
-  index_t hi = 0;
   index_t remote_elems = 0;  ///< total packed == total received elements
 
   /// Segment (s, d) spans [pair_off[s*p+d], pair_off[s*p+d+1]) of both
@@ -83,16 +75,14 @@ struct ExchangePlan {
 /// planned execution bit-identical.
 template <typename MapFn, typename OwnerDst, typename OwnerSrc>
 [[nodiscard]] std::shared_ptr<const ExchangePlan> build_exchange_plan(
-    index_t lo, index_t hi, int p, const MapFn& src_index_of,
-    const OwnerDst& owner_dst, const OwnerSrc& owner_src) {
+    index_t n, int p, const MapFn& src_index_of, const OwnerDst& owner_dst,
+    const OwnerSrc& owner_src) {
   auto plan = std::make_shared<ExchangePlan>();
   plan->p = p;
-  plan->lo = lo;
-  plan->hi = hi;
   const std::size_t pp = static_cast<std::size_t>(p) * p;
   std::vector<std::vector<index_t>> pk(pp), rv(pp);
   std::vector<std::vector<index_t>> ld(p), ls(p), bd(p);
-  for (index_t i = lo; i < hi; ++i) {
+  for (index_t i = 0; i < n; ++i) {
     const int d = owner_dst(i);
     const index_t j = src_index_of(i);
     if (j < 0) {
@@ -152,18 +142,16 @@ using PlanMemo = LruMemo<std::shared_ptr<const ExchangePlan>, 64>;
 /// Cached plan lookup: returns the memoized plan for `key` or builds (and
 /// caches) it from the functors. `key` must fold everything the routing
 /// depends on (shape extents, strides, shift amounts, layouts); the plan's
-/// own (p, lo, hi) are folded in here, so a hit is always the plan this
-/// call would build. Control thread only.
+/// own (p, n) are folded in here, so a hit is always the plan this call
+/// would build. Control thread only.
 template <typename MapFn, typename OwnerDst, typename OwnerSrc>
 [[nodiscard]] std::shared_ptr<const ExchangePlan> plan_for(
-    std::uint64_t key, index_t lo, index_t hi, int p,
-    const MapFn& src_index_of, const OwnerDst& owner_dst,
-    const OwnerSrc& owner_src) {
+    std::uint64_t key, index_t n, int p, const MapFn& src_index_of,
+    const OwnerDst& owner_dst, const OwnerSrc& owner_src) {
   key = fnv_mix(key, static_cast<std::uint64_t>(p));
-  key = fnv_mix(key, static_cast<std::uint64_t>(lo));
-  key = fnv_mix(key, static_cast<std::uint64_t>(hi));
+  key = fnv_mix(key, static_cast<std::uint64_t>(n));
   return plan_memo().get(key, [&] {
-    return build_exchange_plan(lo, hi, p, src_index_of, owner_dst, owner_src);
+    return build_exchange_plan(n, p, src_index_of, owner_dst, owner_src);
   });
 }
 
@@ -243,7 +231,8 @@ void planned_local(const PlanOp<T>* ops, std::size_t k) {
 /// Completion phase: every receiver fetches each sender's message and
 /// scatters it through the recv segment — the exact order the sender packed
 /// — for all ops in one SPMD region. `include_local` folds the local phase
-/// in (the one-shot unpack of a non-overlapped exchange).
+/// in (the staged combine of gather_scatter.hpp lands its local
+/// contributions this way).
 template <typename T>
 void planned_consume(const PlanOp<T>* ops, std::size_t k, bool include_local) {
   Machine& m = Machine::instance();
@@ -290,9 +279,8 @@ void planned_consume(const PlanOp<T>* ops, std::size_t k, bool include_local) {
   });
 }
 
-/// One-shot planned exchange: post, then consume. Overlap mode still
-/// exercises the three-phase protocol, with the local copies as a separate
-/// middle region while the messages are in flight.
+/// One-shot planned exchange in the three-phase protocol: post, the local
+/// copies while the messages are in flight, then consume.
 template <typename T>
 void exchange_planned(T* dst, const T* src, const ExchangePlan& plan,
                       T boundary = T{}) {
@@ -300,9 +288,8 @@ void exchange_planned(T* dst, const T* src, const ExchangePlan& plan,
   const std::uint64_t p = static_cast<std::uint64_t>(plan.p);
   const PlanOp<T> op{dst, src, &plan, next_tags(p * p), boundary};
   planned_post(&op, 1);
-  const bool split = overlap();
-  if (split) planned_local(&op, 1);
-  planned_consume(&op, 1, /*include_local=*/!split);
+  planned_local(&op, 1);
+  planned_consume(&op, 1, /*include_local=*/false);
 }
 
 }  // namespace dpf::net

@@ -38,8 +38,18 @@ void warn_retired_backend() {
 Mode mode() {
   const char* s = std::getenv("DPF_NET");
   if (s != nullptr && *s != '\0') {
-    if (std::strcmp(s, "algorithmic") == 0) return Mode::Algorithmic;
     if (std::strcmp(s, "overlap") == 0) return Mode::Overlap;
+    if (std::strcmp(s, "algorithmic") == 0) {
+      // The third mode differed from overlap only in running exchanges
+      // unsplit; a run that still names it gets overlap and is told so.
+      static std::atomic<bool> retired{false};
+      if (!retired.exchange(true, std::memory_order_relaxed)) {
+        std::fprintf(stderr,
+                     "dpf: DPF_NET=\"algorithmic\" was retired; running "
+                     "overlap\n");
+      }
+      return Mode::Overlap;
+    }
     if (std::strcmp(s, "direct") != 0) {
       // A set-but-unrecognized mode is rejected *loudly*, once: a silent
       // fall back to direct would quietly skip the transport paths the
@@ -48,7 +58,7 @@ Mode mode() {
       if (!warned.exchange(true, std::memory_order_relaxed)) {
         std::fprintf(stderr,
                      "dpf: ignoring DPF_NET=\"%s\" (expected "
-                     "direct|algorithmic|overlap); using default direct\n",
+                     "direct|overlap); using default direct\n",
                      s);
       }
     }
@@ -59,7 +69,6 @@ Mode mode() {
 const char* mode_name(Mode m) {
   switch (m) {
     case Mode::Direct: return "direct";
-    case Mode::Algorithmic: return "algorithmic";
     case Mode::Overlap: return "overlap";
   }
   return "?";

@@ -3,20 +3,20 @@
 /// \file net.hpp
 /// Front door of the dpf::net interconnect subsystem.
 ///
-/// Selects between the three formulations of every collective:
+/// Selects between the two formulations of every collective:
 ///
-///   DPF_NET=direct       shared-memory data motion (the default)
-///   DPF_NET=algorithmic  message-passing over the Transport mailboxes
-///   DPF_NET=overlap      message passing with split-phase collectives:
-///                        boundary messages are posted one or more SPMD
-///                        regions before they are consumed, so callers can
-///                        interleave compute with the in-flight window
+///   DPF_NET=direct   shared-memory data motion (the default)
+///   DPF_NET=overlap  message passing over the Transport mailboxes, with
+///                    split-phase collectives: boundary messages are posted
+///                    one or more SPMD regions before they are consumed, so
+///                    callers can interleave compute with the in-flight
+///                    window
 ///
-/// All three produce bit-identical results and identical CommEvent payload
-/// accounting; the message-passing paths additionally drive real per-VP
+/// Both produce bit-identical results and identical CommEvent payload
+/// accounting; the message-passing path additionally drives real per-VP
 /// messages through the transport, which is what the microbenchmarks and
-/// the fat-tree cost model calibrate against. Overlap mode is algorithmic
-/// mode with the exchange engine (exchange_plan.hpp) running split-phase.
+/// the fat-tree cost model calibrate against. The retired third mode,
+/// DPF_NET=algorithmic, runs overlap and says so once on stderr.
 
 #include <cstdint>
 
@@ -25,25 +25,23 @@
 
 namespace dpf::net {
 
-enum class Mode { Direct, Algorithmic, Overlap };
+enum class Mode { Direct, Overlap };
 
 /// Current mode from the DPF_NET environment variable, read per call so
 /// tests can flip it between collectives. Each primitive reads it where it
-/// chooses its path; the three modes are manual cross-checks of each
-/// other, never chosen for speed. A set-but-unrecognized value ("auto"
-/// included) warns once on stderr and falls back to Direct.
+/// chooses its path; the two modes are manual cross-checks of each other,
+/// never chosen for speed. The retired value "algorithmic" runs Overlap and
+/// warns once on stderr; any other set-but-unrecognized value ("auto"
+/// included) warns once and falls back to Direct.
 [[nodiscard]] Mode mode();
 
-/// The DPF_NET spelling of a mode ("direct" | "algorithmic" | "overlap").
+/// The DPF_NET spelling of a mode ("direct" | "overlap").
 [[nodiscard]] const char* mode_name(Mode m);
 
-/// True when a message-passing formulation is selected (algorithmic or
-/// overlap): every primitive with an index-map reformulation routes through
-/// the transport exchange engine.
+/// True when the message-passing formulation is selected: every primitive
+/// with an index-map reformulation routes through the transport exchange
+/// engine.
 [[nodiscard]] inline bool algorithmic() { return mode() != Mode::Direct; }
-
-/// True when the split-phase (overlap) formulation is selected.
-[[nodiscard]] inline bool overlap() { return mode() == Mode::Overlap; }
 
 /// The process-wide transport, sized to the machine's VP grid. First use
 /// installs the Machine reconfigure hook so the mailboxes resize (dropping

@@ -17,7 +17,7 @@ namespace dpf::suite {
 namespace {
 
 RunResult run_diff1d(const RunConfig& cfg) {
-  const index_t nx = cfg.get("nx", 512);
+  const index_t nx = get_at_least(cfg, "nx", 512, 1);
   const index_t iters = cfg.get("iters", 8);
   const double nu = 0.8;  // implicit scheme: unconditionally stable
 

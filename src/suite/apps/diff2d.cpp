@@ -46,7 +46,7 @@ void thomas_rows(Array2<double>& rhs, const std::vector<double>& cp,
 }
 
 RunResult run_diff2d(const RunConfig& cfg) {
-  const index_t nx = cfg.get("nx", 64);
+  const index_t nx = get_at_least(cfg, "nx", 64, 1);
   const index_t iters = cfg.get("iters", 8);
 
   RunResult res;

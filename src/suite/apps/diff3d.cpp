@@ -16,9 +16,9 @@ namespace dpf::suite {
 namespace {
 
 RunResult run_diff3d(const RunConfig& cfg) {
-  const index_t nx = cfg.get("nx", 32);
-  const index_t ny = cfg.get("ny", 32);
-  const index_t nz = cfg.get("nz", 32);
+  const index_t nx = get_at_least(cfg, "nx", 32, 1);
+  const index_t ny = get_at_least(cfg, "ny", 32, 1);
+  const index_t nz = get_at_least(cfg, "nz", 32, 1);
   const index_t iters = cfg.get("iters", 8);
   const double nu = 0.1;  // diffusion number (stable: < 1/6)
 

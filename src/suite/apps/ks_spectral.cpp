@@ -37,7 +37,7 @@ void nonlinear(const Spec& uhat, Spec& out, const Array1<double>& kvec) {
 }
 
 RunResult run_ks(const RunConfig& cfg) {
-  const index_t nx = cfg.get("nx", 128);
+  const index_t nx = get_power_of_two(cfg, "nx", 128);
   const index_t ne = cfg.get("ne", 4);
   const index_t iters = cfg.get("iters", 8);
   const double dt = 0.05;

@@ -101,7 +101,7 @@ void forces(MdState& s, index_t n, bool symmetric = false) {
 }
 
 RunResult run_md(const RunConfig& cfg) {
-  const index_t n = cfg.get("np", 96);
+  const index_t n = get_at_least(cfg, "np", 96, 1);
   const index_t iters = cfg.get("iters", 4);
   const double dt = 1e-4;
 

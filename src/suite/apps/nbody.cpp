@@ -203,7 +203,7 @@ index_t pad_size(index_t n) {
 }
 
 RunResult run_nbody(const RunConfig& cfg) {
-  const index_t n = cfg.get("n", 128);
+  const index_t n = get_at_least(cfg, "n", 128, 1);
   // Variants 0-3: broadcast, spread, cshift, cshift w/symmetry.
   // Variants 4-7: the same four with "fill" — the particle arrays are
   // padded to a power of two with zero-mass particles (Table 6's

@@ -40,7 +40,7 @@ inline void dtsc(double d, double w[3]) {
 }
 
 RunResult run_pic_gs(const RunConfig& cfg) {
-  const index_t nc = cfg.get("nx", 8);   // cells per axis (3-D grid)
+  const index_t nc = get_at_least(cfg, "nx", 8, 1);  // cells per axis (3-D)
   const index_t np = cfg.get("np", 2048);
   const index_t iters = cfg.get("iters", 2);
   const double dt = 0.02;

@@ -22,8 +22,8 @@ namespace dpf::suite {
 namespace {
 
 RunResult run_pic_simple(const RunConfig& cfg) {
-  const index_t nx = cfg.get("nx", 32);
-  const index_t ny = cfg.get("ny", 32);
+  const index_t nx = get_power_of_two(cfg, "nx", 32);
+  const index_t ny = get_power_of_two(cfg, "ny", 32);
   const index_t np = cfg.get("np", 4096);
   const index_t iters = cfg.get("iters", 4);
   const double dt = 0.05;

@@ -26,7 +26,9 @@ namespace {
 RunResult run_qmc(const RunConfig& cfg) {
   const index_t np = cfg.get("np", 2);    // particles per walker
   const index_t nd = cfg.get("nd", 3);    // dimensions
-  const index_t nw = cfg.get("nw", 512);  // target walker population
+  // Target walker population. Branching keeps at least 8 walkers alive in
+  // a capacity of 2 nw slots, so nw < 4 would write past the arrays.
+  const index_t nw = get_at_least(cfg, "nw", 512, 4);
   const index_t blocks = cfg.get("iters", 24);
   const double dt = 0.05;
   // Trial function psi_T = exp(-alpha x^2), deliberately off the exact

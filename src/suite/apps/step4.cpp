@@ -26,7 +26,7 @@ constexpr index_t kFields = 8;
 constexpr std::array<double, 4> kW = {0.8, -0.2, 0.038, -0.0036};
 
 RunResult run_step4(const RunConfig& cfg) {
-  const index_t nx = cfg.get("nx", 48);
+  const index_t nx = get_at_least(cfg, "nx", 48, 1);
   const index_t ny = cfg.get("ny", 48);
   const index_t iters = cfg.get("iters", 4);
   const double dt = 0.02;

@@ -20,7 +20,7 @@ namespace dpf::suite {
 namespace {
 
 RunResult run_wave1d(const RunConfig& cfg) {
-  const index_t nx = cfg.get("nx", 256);
+  const index_t nx = get_power_of_two(cfg, "nx", 256);
   const index_t iters = cfg.get("iters", 16);
   const double dt = 0.2 / static_cast<double>(nx);
 

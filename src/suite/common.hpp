@@ -60,6 +60,32 @@ inline index_t get_in_range(const RunConfig& cfg, const std::string& key,
   return v;
 }
 
+/// cfg.get(key, fallback), or std::invalid_argument naming the key when the
+/// value is below `lo`: a size the runner cannot run must fail before any
+/// allocation, not index past an array.
+inline index_t get_at_least(const RunConfig& cfg, const std::string& key,
+                            index_t fallback, index_t lo) {
+  const index_t v = cfg.get(key, fallback);
+  if (v < lo) {
+    throw std::invalid_argument(key + " must be >= " + std::to_string(lo) +
+                                ", got " + std::to_string(v));
+  }
+  return v;
+}
+
+/// cfg.get(key, fallback), or std::invalid_argument naming the key unless
+/// the value is a power of two >= 2: the radix-2 FFTs (la/fft.hpp) index
+/// past their arrays at any other length.
+inline index_t get_power_of_two(const RunConfig& cfg, const std::string& key,
+                                index_t fallback) {
+  const index_t v = cfg.get(key, fallback);
+  if (v < 2 || (v & (v - 1)) != 0) {
+    throw std::invalid_argument(key + " must be a power of two >= 2, got " +
+                                std::to_string(v));
+  }
+  return v;
+}
+
 /// Runs `body` under a MetricScope and stores the result as a named segment.
 template <typename F>
 void timed_segment(RunResult& r, const std::string& name, F&& body) {

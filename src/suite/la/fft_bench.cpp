@@ -11,14 +11,9 @@ namespace dpf::suite {
 namespace {
 
 RunResult run_fft(const RunConfig& cfg) {
-  const index_t n = cfg.get("n", 256);
+  const index_t n = get_power_of_two(cfg, "n", 256);
   const index_t dims = get_in_range(cfg, "dims", 1, 1, 3);
   const index_t iters = cfg.get("iters", 4);
-  // The butterflies are radix-2.
-  if (n < 2 || (n & (n - 1)) != 0) {
-    throw std::invalid_argument("n must be a power of two >= 2, got " +
-                                std::to_string(n));
-  }
 
   RunResult res;
   memory::Scope mem;

@@ -12,8 +12,8 @@ namespace dpf::suite {
 namespace {
 
 RunResult run_matvec(const RunConfig& cfg) {
-  const index_t n = cfg.get("n", 128);
-  const index_t m = cfg.get("m", 128);
+  const index_t n = get_at_least(cfg, "n", 128, 1);
+  const index_t m = get_at_least(cfg, "m", 128, 1);
   const index_t iters = cfg.get("iters", 8);
   const index_t variant = cfg.get("variant", 1);
   const bool is_complex = get_in_range(cfg, "dtype", 0, 0, 1) == 1;

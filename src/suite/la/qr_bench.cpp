@@ -16,6 +16,11 @@ RunResult run_qr(const RunConfig& cfg) {
   const index_t m = cfg.get("m", 128);
   const index_t n = cfg.get("n", 64);
   const index_t r = cfg.get("r", 2);
+  // Householder QR of an m x n least-squares system reflects n columns.
+  if (m < n) {
+    throw std::invalid_argument("m must be >= n (" + std::to_string(n) +
+                                "), got " + std::to_string(m));
+  }
 
   RunResult res;
   memory::Scope mem;

@@ -160,13 +160,11 @@ bool write_chrome_trace(const std::string& path, const Snapshot& snap) {
                        e.arg, e.x, e.y, e.serial);
           break;
         case EventKind::Overlap:
-          std::fprintf(f,
-                       "\"pattern\":\"%s\",\"bytes\":%" PRIu64
-                       ",\"serial\":%" PRIu32,
+          std::fprintf(f, "\"pattern\":\"%s\",\"bytes\":%" PRIu64,
                        std::string(
                            to_string(static_cast<CommPattern>(e.pattern)))
                            .c_str(),
-                       e.arg, e.serial);
+                       e.arg);
           break;
         default:
           break;

@@ -182,14 +182,12 @@ void transport_span(bool post, int src, int dst, std::uint64_t bytes,
 }
 
 void overlap_span(std::uint8_t pattern, std::uint64_t bytes,
-                  std::uint64_t t0_ns, std::uint64_t t1_ns,
-                  std::uint64_t serial) {
+                  std::uint64_t t0_ns, std::uint64_t t1_ns) {
   Event e;
   e.kind = EventKind::Overlap;
   e.t0_ns = t0_ns;
   e.t1_ns = t1_ns >= t0_ns ? t1_ns : t0_ns;
   e.arg = bytes;
-  e.serial = static_cast<std::uint32_t>(serial);
   e.pattern = pattern;
   emit(e);
 }

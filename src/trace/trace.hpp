@@ -192,8 +192,7 @@ void transport_span(bool post, int src, int dst, std::uint64_t bytes,
 /// ran compute. Recorded at Summary level alongside the collective events,
 /// so a timeline shows exactly which compute the messages hid behind.
 void overlap_span(std::uint8_t pattern, std::uint64_t bytes,
-                  std::uint64_t t0_ns, std::uint64_t t1_ns,
-                  std::uint64_t serial);
+                  std::uint64_t t0_ns, std::uint64_t t1_ns);
 
 /// One TemporaryPool acquire/release mark. `reused` flags a cache hit
 /// (acquire) or a recycled block (release).

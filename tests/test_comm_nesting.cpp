@@ -1,6 +1,6 @@
 // Regression tests for the outermost-pattern-only accounting rule: when a
 // comm primitive is realized through internally-recording collectives (the
-// DPF_NET=algorithmic paths route through net::exchange_planned and the
+// DPF_NET=overlap paths route through net::exchange_planned and the
 // slot allgather, which are recording primitives in their own right), the
 // payload must be attributed to the pattern the program asked for exactly
 // once — never double-counted against the internal exchange traffic.
@@ -59,7 +59,7 @@ TEST_F(CommNestingTest, NestedRecordScopeDropsInnerEvents) {
   EXPECT_EQ(log.event_count(), 3u);
 }
 
-// The headline regression: an algorithmic cshift logs one CSHIFT event with
+// The headline regression: a message-passing cshift logs one CSHIFT event with
 // the payload bytes — not an extra AAPC from the net::exchange_planned
 // that realized it.
 TEST_F(CommNestingTest, AlgorithmicCshiftLogsOnePatternOnly) {
@@ -72,14 +72,14 @@ TEST_F(CommNestingTest, AlgorithmicCshiftLogsOnePatternOnly) {
   ASSERT_EQ(direct_events.size(), 1u);
   EXPECT_EQ(direct_events[0].pattern, CommPattern::CShift);
 
-  setenv("DPF_NET", "algorithmic", 1);
+  setenv("DPF_NET", "overlap", 1);
   net::transport().reset();
   CommLog::instance().reset();
   auto algo = comm::cshift(a, 0, 1);
   const auto algo_events = CommLog::instance().events();
 
   ASSERT_EQ(algo_events.size(), 1u)
-      << "algorithmic cshift must not log its internal exchange separately";
+      << "message-passing cshift must not log its internal exchange separately";
   EXPECT_EQ(algo_events[0].pattern, CommPattern::CShift);
   EXPECT_EQ(algo_events[0].bytes, direct_events[0].bytes);
   EXPECT_EQ(algo_events[0].offproc_bytes, direct_events[0].offproc_bytes);
@@ -88,10 +88,10 @@ TEST_F(CommNestingTest, AlgorithmicCshiftLogsOnePatternOnly) {
   for (index_t i = 0; i < 64; ++i) EXPECT_EQ(algo[i], direct[i]);
 }
 
-// Same rule for a tree collective: algorithmic reduce routes its partials
+// Same rule for a tree collective: message-passing reduce routes its partials
 // through the slot allgather, which must stay silent under the Reduction.
 TEST_F(CommNestingTest, AlgorithmicReduceLogsReductionOnly) {
-  setenv("DPF_NET", "algorithmic", 1);
+  setenv("DPF_NET", "overlap", 1);
   net::transport().reset();
   auto a = make_vector<double>(256);
   for (index_t i = 0; i < 256; ++i) a[i] = 1.0;

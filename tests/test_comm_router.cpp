@@ -5,12 +5,11 @@
 // axis fold at p = 3 and p = 8, through a collision-heavy map.
 //
 // Three properties per operation:
-//   * results are bitwise equal across DPF_NET=direct, algorithmic and
-//     overlap, and equal a serial reference loop;
+//   * results are bitwise equal across DPF_NET=direct and overlap, and
+//     equal a serial reference loop;
 //   * in every mode the recorded off-processor bytes equal the element
 //     count a brute-force owner scan finds crossing VPs (times 8 bytes),
-//     and under each message-passing mode the transport carries exactly
-//     those bytes;
+//     and under overlap the transport carries exactly those bytes;
 //   * the transport carries one message per distinct (sender, receiver)
 //     pair with sender != receiver in that scan.
 //
@@ -40,7 +39,7 @@ constexpr index_t kRows = 12;
 constexpr index_t kCols = 10;
 constexpr index_t kLen = 97;  ///< the 1-D array and the map
 
-const char* const kModes[] = {"direct", "algorithmic", "overlap"};
+const char* const kModes[] = {"direct", "overlap"};
 
 void set_mode(const char* m) {
   if (std::strcmp(m, "direct") == 0) {
@@ -264,43 +263,41 @@ TEST_F(CommRouterTest, ResultsBitIdenticalAcrossModes) {
 TEST_F(CommRouterTest, TransportCarriesOffprocBytesInOneMessagePerPair) {
   for (const Config& c : kConfigs) {
     Machine::instance().configure(c.p);
-    for (const char* m : {"algorithmic", "overlap"}) {
-      for (const OpInfo& o : kOps) {
-        Arrays a(c.grid);
-        std::uint64_t crossing = 0;
-        std::set<std::pair<int, int>> pairs;
-        for (const auto& [from, to] : routes(o.op, a)) {
-          if (from == to) continue;
-          ++crossing;
-          pairs.emplace(from, to);
-        }
-        const std::string what = std::string(o.name) + " mode=" + m +
-                                 " p=" + std::to_string(c.p);
-        // On the fold, row i of the plane and element i of the column
-        // share an owner, so spreading along axis 1 moves nothing.
-        if (c.grid || o.op != Op::SpreadAxis1) {
-          ASSERT_GT(crossing, 0u) << what << ": the op must cross VPs";
-        }
-
-        net::transport().reset();
-        CommLog::instance().reset();
-        set_mode(m);
-        run(o.op, a);
-        set_mode("direct");
-        const net::TransportStats stats = net::transport().stats();
-        const auto events = CommLog::instance().events();
-
-        ASSERT_EQ(events.size(), 1u) << what;
-        EXPECT_EQ(events[0].pattern, o.pattern) << what;
-        EXPECT_EQ(events[0].offproc_bytes,
-                  static_cast<index_t>(crossing * sizeof(double)))
-            << what;
-        EXPECT_EQ(stats.bytes,
-                  static_cast<std::uint64_t>(events[0].offproc_bytes))
-            << what;
-        EXPECT_EQ(stats.messages, pairs.size()) << what;
-        EXPECT_EQ(net::transport().pending(), 0u) << what;
+    for (const OpInfo& o : kOps) {
+      Arrays a(c.grid);
+      std::uint64_t crossing = 0;
+      std::set<std::pair<int, int>> pairs;
+      for (const auto& [from, to] : routes(o.op, a)) {
+        if (from == to) continue;
+        ++crossing;
+        pairs.emplace(from, to);
       }
+      const std::string what =
+          std::string(o.name) + " p=" + std::to_string(c.p);
+      // On the fold, row i of the plane and element i of the column
+      // share an owner, so spreading along axis 1 moves nothing.
+      if (c.grid || o.op != Op::SpreadAxis1) {
+        ASSERT_GT(crossing, 0u) << what << ": the op must cross VPs";
+      }
+
+      net::transport().reset();
+      CommLog::instance().reset();
+      set_mode("overlap");
+      run(o.op, a);
+      set_mode("direct");
+      const net::TransportStats stats = net::transport().stats();
+      const auto events = CommLog::instance().events();
+
+      ASSERT_EQ(events.size(), 1u) << what;
+      EXPECT_EQ(events[0].pattern, o.pattern) << what;
+      EXPECT_EQ(events[0].offproc_bytes,
+                static_cast<index_t>(crossing * sizeof(double)))
+          << what;
+      EXPECT_EQ(stats.bytes,
+                static_cast<std::uint64_t>(events[0].offproc_bytes))
+          << what;
+      EXPECT_EQ(stats.messages, pairs.size()) << what;
+      EXPECT_EQ(net::transport().pending(), 0u) << what;
     }
   }
 }

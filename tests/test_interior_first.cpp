@@ -25,7 +25,7 @@
 namespace dpf {
 namespace {
 
-const char* const kModes[] = {"direct", "algorithmic", "overlap"};
+const char* const kModes[] = {"direct", "overlap"};
 
 void set_mode(const char* m) {
   if (std::strcmp(m, "direct") == 0) {

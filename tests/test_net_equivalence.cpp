@@ -1,12 +1,12 @@
-// Bit-identity of DPF_NET=algorithmic against the direct formulations.
+// Bit-identity of DPF_NET=overlap against the direct formulations.
 //
 // Every collective is run twice on identical inputs — once with DPF_NET
 // unset (direct shared-memory data motion) and once with
-// DPF_NET=algorithmic (message passing over the transport mailboxes) —
+// DPF_NET=overlap (message passing over the transport mailboxes) —
 // under a forced 4-worker pool, across pow2 and non-pow2 VP counts so both
 // the recursive-doubling and the ring allgather paths are exercised. The
 // comparison is exact bitwise equality (EXPECT_EQ on doubles), never a
-// tolerance: the algorithmic path must reproduce the direct path to the
+// tolerance: the message-passing path must reproduce the direct path to the
 // last ulp.
 //
 // The registry half runs whole benchmarks (the four collective benchmarks
@@ -47,12 +47,12 @@ class NetEquivalenceTest : public ::testing::Test {
   // caller; the op must be a pure function of its (re-created) inputs.
   static void run_both(
       int p, const std::function<std::vector<double>()>& op,
-      std::vector<double>& direct, std::vector<double>& algorithmic) {
+      std::vector<double>& direct, std::vector<double>& overlap) {
     Machine::instance().configure(p);
     unsetenv("DPF_NET");
     direct = op();
-    setenv("DPF_NET", "algorithmic", 1);
-    algorithmic = op();
+    setenv("DPF_NET", "overlap", 1);
+    overlap = op();
     unsetenv("DPF_NET");
   }
 
@@ -261,13 +261,13 @@ class NetRegistryEquivalenceTest : public ::testing::Test {
     Machine::instance().configure(16);
     unsetenv("DPF_NET");
     const auto direct = def->run_with_defaults(cfg);
-    setenv("DPF_NET", "algorithmic", 1);
-    const auto algo = def->run_with_defaults(cfg);
+    setenv("DPF_NET", "overlap", 1);
+    const auto overlap = def->run_with_defaults(cfg);
     unsetenv("DPF_NET");
-    ASSERT_EQ(direct.checks.size(), algo.checks.size()) << name;
+    ASSERT_EQ(direct.checks.size(), overlap.checks.size()) << name;
     for (const auto& [key, value] : direct.checks) {
-      const auto it = algo.checks.find(key);
-      ASSERT_NE(it, algo.checks.end()) << name << " lost check " << key;
+      const auto it = overlap.checks.find(key);
+      ASSERT_NE(it, overlap.checks.end()) << name << " lost check " << key;
       EXPECT_EQ(value, it->second)
           << name << " check '" << key << "' not bit-identical";
     }

@@ -320,11 +320,11 @@ TEST_F(NetTransportTest, InPlaceButterflyCountsPayloadOnce) {
   }
 }
 
-// The same invariant on the algorithmic path, where the in-place exchange
+// The same invariant on the message-passing path, where the in-place exchange
 // stages through a snapshot and the transport: staging traffic shows up in
 // the transport stats, never in the event's payload bytes.
 TEST_F(NetTransportTest, AlgorithmicInPlaceButterflyCountsPayloadOnce) {
-  setenv("DPF_NET", "algorithmic", 1);
+  setenv("DPF_NET", "overlap", 1);
   auto a = make_vector<double>(64);
   auto b = make_vector<double>(64);
   for (index_t i = 0; i < 64; ++i) a[i] = b[i] = std::sin(double(i));

@@ -1,7 +1,8 @@
 // DPF_NET environment handling: a set-but-invalid mode must not silently
 // run the default — it warns once on stderr (the DPF_SIMD / DPF_WORKERS
-// idiom) and then falls back to direct. Recognized values, the explicit
-// default and an unset variable stay silent.
+// idiom) and then falls back to direct. The retired value "algorithmic"
+// runs overlap and says so once. Recognized values, the explicit default
+// and an unset variable stay silent.
 
 #include <gtest/gtest.h>
 
@@ -39,8 +40,6 @@ TEST_F(NetModeWarningTest, ValidValuesAndUnsetStaySilent) {
   EXPECT_EQ(net::Mode::Direct, net::mode());
   setenv("DPF_NET", "direct", 1);  // explicit default: accepted, no warning
   EXPECT_EQ(net::Mode::Direct, net::mode());
-  setenv("DPF_NET", "algorithmic", 1);
-  EXPECT_EQ(net::Mode::Algorithmic, net::mode());
   setenv("DPF_NET", "overlap", 1);
   EXPECT_EQ(net::Mode::Overlap, net::mode());
   setenv("DPF_NET", "", 1);  // empty string counts as unset
@@ -55,7 +54,7 @@ TEST_F(NetModeWarningTest, UnrecognizedValueWarnsOnceAndFallsBackToDirect) {
   const std::string err = testing::internal::GetCapturedStderr();
   EXPECT_NE(std::string::npos, err.find("ignoring DPF_NET=\"overlop\""))
       << "stderr was: " << err;
-  EXPECT_NE(std::string::npos, err.find("direct|algorithmic|overlap"))
+  EXPECT_NE(std::string::npos, err.find("(expected direct|overlap)"))
       << "stderr was: " << err;
 
   // One-shot: a second probe (even with a different bad value) is silent.
@@ -63,6 +62,17 @@ TEST_F(NetModeWarningTest, UnrecognizedValueWarnsOnceAndFallsBackToDirect) {
   testing::internal::CaptureStderr();
   EXPECT_EQ(net::Mode::Direct, net::mode());
   EXPECT_EQ("", testing::internal::GetCapturedStderr());
+}
+
+TEST_F(NetModeWarningTest, RetiredAlgorithmicRunsOverlapAndWarnsOnce) {
+  setenv("DPF_NET", "algorithmic", 1);
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(net::Mode::Overlap, net::mode());
+  EXPECT_TRUE(net::algorithmic());
+  EXPECT_EQ(net::Mode::Overlap, net::mode());
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_EQ("dpf: DPF_NET=\"algorithmic\" was retired; running overlap\n",
+            err);
 }
 
 }  // namespace

@@ -1,15 +1,15 @@
-// Bit-identity of DPF_NET=overlap (split-phase collectives) against both
-// the direct and the algorithmic formulations.
+// Bit-identity of DPF_NET=overlap (split-phase collectives) against the
+// direct formulations.
 //
-// Every primitive with a message-passing realization runs three times on
-// identical inputs — DPF_NET unset (direct), DPF_NET=algorithmic (one-shot
-// message passing) and DPF_NET=overlap (split-phase: post, separate local
-// region, remote consume) — under a forced 4-worker pool across pow2 and
-// non-pow2 VP counts. Comparison is exact bitwise equality, never a
-// tolerance. The split-phase handle APIs (cshift_start, scatter_add_start)
-// are exercised with real compute inside the in-flight window.
+// Every primitive with a message-passing realization runs twice on
+// identical inputs — DPF_NET unset (direct) and DPF_NET=overlap (post,
+// separate local region, remote consume) — under a forced 4-worker pool
+// across pow2 and non-pow2 VP counts. Comparison is exact bitwise
+// equality, never a tolerance. The split-phase handle APIs (cshift_start,
+// scatter_add_start) are exercised with real compute inside the in-flight
+// window.
 //
-// The registry half runs EVERY suite benchmark in all three modes at
+// The registry half runs EVERY suite benchmark in both modes at
 // DPF_VPS=16 and compares the checks maps exactly; a guard test pins the
 // list to the registry size so new benchmarks must join the battery.
 
@@ -34,7 +34,7 @@ namespace dpf {
 namespace {
 
 const std::vector<int> kVpCounts = {3, 4, 5, 8, 16};
-const char* const kModes[] = {"direct", "algorithmic", "overlap"};
+const char* const kModes[] = {"direct", "overlap"};
 
 void set_mode(const char* m) {
   if (std::strcmp(m, "direct") == 0) {
@@ -57,7 +57,7 @@ class OverlapEquivalenceTest : public ::testing::Test {
   }
 
   // Runs `op` once per mode on `p` VPs; the op must be a pure function of
-  // its (re-created) inputs. All three results are compared bitwise against
+  // its (re-created) inputs. The overlap result is compared bitwise against
   // the direct run.
   static void expect_all_modes_equal(
       int p, const std::string& what,
@@ -279,7 +279,7 @@ TEST_F(OverlapEquivalenceTest, BenchmarkListCoversRegistry) {
   EXPECT_EQ(Registry::instance().size(),
             sizeof(kAllBenchmarks) / sizeof(kAllBenchmarks[0]))
       << "a new benchmark must be added to kAllBenchmarks so the "
-         "three-mode equivalence battery covers it";
+         "two-mode equivalence battery covers it";
   for (const char* name : kAllBenchmarks) {
     EXPECT_NE(Registry::instance().find(name), nullptr) << name;
   }

@@ -28,14 +28,16 @@ namespace {
 bool plan_lookup_builds(std::uint64_t key) {
   bool built = false;
   const auto plan = net::plan_for(
-      key, 0, 8, 4,
+      key, 8, 4,
       [&built](index_t i) {
         built = true;
         return 7 - i;
       },
       [](index_t i) { return static_cast<int>(i / 2); },
       [](index_t j) { return static_cast<int>(j / 2); });
-  EXPECT_EQ(plan->hi, 8);
+  EXPECT_EQ(plan->remote_elems +
+                static_cast<index_t>(plan->local_dst.size()),
+            8);
   return built;
 }
 

@@ -145,7 +145,7 @@ TEST_F(TraceTest, CollectiveEventsCarryPatternBytesAndPrediction) {
 }
 
 TEST_F(TraceTest, FullModeAddsTransportSpansSummaryDoesNot) {
-  setenv("DPF_NET", "algorithmic", 1);
+  setenv("DPF_NET", "overlap", 1);
   Machine::instance().configure(4);
   auto a = make_vector<double>(64);
   for (index_t i = 0; i < 64; ++i) a[i] = static_cast<double>(i);

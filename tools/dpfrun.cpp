@@ -41,16 +41,16 @@
 /// `--trace FILE.csv` keeps the CommLog CSV dump. A trace that cannot be
 /// written prints `could not write trace to <path>` and exits 1 after the
 /// report.
-/// Combine with DPF_NET=algorithmic to price the message-passing
-/// formulations, or DPF_NET=overlap for the split-phase variants — the
-/// comm report then adds the per-pattern `overlap s` column (time payload
-/// sat in flight behind caller compute) and a split-phase event summary.
+/// Combine with DPF_NET=overlap to price the message-passing formulation —
+/// the comm report then adds the per-pattern `overlap s` column (time
+/// payload sat in flight behind caller compute) and a split-phase event
+/// summary.
 ///
 /// Examples:
 ///   dpfrun run conj-grad --set n=4096 --version=optimized
 ///   dpfrun run fft --set n=1024 --set dims=2 --vps=8
 ///   dpfrun run lu --trace lu.json
-///   DPF_NET=algorithmic dpfrun run transpose --vps=16 --report comm
+///   DPF_NET=overlap dpfrun run transpose --vps=16 --report comm
 ///   DPF_NET=overlap dpfrun run fem-3D --vps=16 --report comm
 
 #include <cerrno>
@@ -117,7 +117,7 @@ int cmd_list(bool long_mode) {
   if (long_mode) {
     std::printf(
         "\nnet knob (current value):\n"
-        "  DPF_NET=%s  direct|algorithmic|overlap formulation\n",
+        "  DPF_NET=%s  direct|overlap formulation\n",
         net::mode_name(net::mode()));
   }
   return 0;
@@ -292,6 +292,9 @@ int cmd_run(const std::string& name, const std::vector<std::string>& args) {
   if (report_trace && trace::mode() == trace::Mode::Off) {
     trace::set_mode(trace::Mode::Summary);
   }
+  // Read DPF_NET once up front: a retired or unrecognized value is then
+  // reported even by a benchmark whose data never moves through dpf::comm.
+  static_cast<void>(net::mode());
 
   // Calibrate the cost model before the run so every recorded event carries
   // a prediction alongside its measured time.
