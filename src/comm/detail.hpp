@@ -22,11 +22,7 @@
 namespace dpf::comm::detail {
 
 /// Wall-clock timer for one collective operation; feeds the measured
-/// `seconds` field of the recorded CommEvent. Every recording primitive
-/// constructs one at its top, so the embedded RecordScope marks the
-/// primitive's dynamic extent: collectives a primitive calls internally
-/// (the DPF_NET=overlap realizations) see themselves nested and their
-/// events are dropped in favour of the outermost pattern.
+/// `seconds` field of the recorded CommEvent.
 class OpTimer {
  public:
   OpTimer() : t0_(std::chrono::steady_clock::now()) {}
@@ -37,7 +33,6 @@ class OpTimer {
   }
 
  private:
-  CommLog::RecordScope scope_;
   std::chrono::steady_clock::time_point t0_;
 };
 
@@ -68,6 +63,19 @@ struct KeyHash {
 /// scan runs once per shape instead of once per call. Record-side only
 /// (control thread).
 using OffprocMemo = LruMemo<index_t, 16>;
+
+/// Memo of shift position counts (shift_offproc_bytes), one per thread and
+/// 64 entries like net::PlanMemo. Its key holds no element type or rank,
+/// so every cshift, eoshift and ShiftBundle member of one axis shape
+/// shares an entry.
+using ShiftMemo = LruMemo<index_t, 64>;
+
+/// This thread's shift-count memo; its stats() count the sweeps it ran
+/// and the lookups it saved.
+[[nodiscard]] inline ShiftMemo& shift_memo() {
+  static thread_local ShiftMemo memo;
+  return memo;
+}
 
 /// True when two arrays share one backing store (full aliasing — the
 /// in-place case the payload-once accounting rule covers).
@@ -113,8 +121,7 @@ template <typename T, std::size_t R>
   key.mix(static_cast<std::uint64_t>(s));
   key.mix(static_cast<std::uint64_t>(static_cast<int>(d)));
   key.mix(static_cast<std::uint64_t>(procs));
-  static thread_local OffprocMemo memo;
-  const index_t moved = memo.get(key.h, [&] {
+  const index_t moved = shift_memo().get(key.h, [&] {
     if (circular) {
       return moved_slots(n, [&](index_t j) { return (j + s) % n; }, d, procs);
     }
@@ -198,12 +205,6 @@ template <typename T, std::size_t R>
   return table;
 }
 
-/// Owner of position i on the distributed axis of extent n; 0 if n == 0.
-[[nodiscard]] inline int owner(index_t n, index_t i, Dist d = Dist::Block) {
-  const int p = Machine::instance().vps();
-  return (p <= 1 || n == 0) ? 0 : owner_of(n, p, i, d);
-}
-
 /// Bytes per distributed-axis slot of an array: total bytes / extent of the
 /// distributed axis (or all bytes when the array has no parallel axis).
 template <typename T, std::size_t R>
@@ -224,9 +225,12 @@ void share_partials(std::vector<T>& partial) {
 }
 
 /// Records one event on the global log, annotated with the fat-tree hop
-/// count and (when the cost model is calibrated) the predicted time.
-/// `bytes` follows the payload-once rule (see CommEvent): the logical
-/// payload is counted exactly once regardless of aliasing or staging.
+/// count and (when the cost model is calibrated) the predicted time. The
+/// one way an event enters the log: the primitives call it with their
+/// measured `seconds`, the analytic records of the la and app layers
+/// without (untimed). `bytes` follows the payload-once rule (see
+/// CommEvent): the logical payload is counted exactly once regardless of
+/// aliasing or staging.
 inline void record(CommPattern pattern, int src_rank, int dst_rank,
                    index_t bytes, index_t offproc_bytes, index_t detail = 0,
                    double seconds = 0.0) {

@@ -3,20 +3,20 @@
 /// \file pshift.hpp
 /// PSHIFT — the "polyshift" bundled-shift primitive of CMSSL, which the
 /// paper proposes for nonlinear equations on structured grids (section 4,
-/// class 2): all requested neighbour views of a grid are produced in one
-/// fused pass, so the boundary exchanges of the individual CSHIFTs can be
-/// pipelined. Results are bit-identical to issuing the CSHIFTs separately;
-/// each constituent shift is still recorded (with the bundled flag in the
-/// event detail) so pattern inventories stay comparable.
+/// class 2): all requested neighbour views of a grid are produced by one
+/// fused operation, a ShiftBundle of its circular shifts. Under
+/// DPF_NET=direct the bundle runs every shift in one SPMD region; under
+/// DPF_NET=overlap it posts every halo in one region, copies the local
+/// parts in a second and consumes the halos in a third. Results are
+/// bit-identical to issuing the CSHIFTs separately; each constituent shift
+/// is still recorded (with the bundled flag in the event detail when there
+/// are two or more) so pattern inventories stay comparable.
 
 #include <span>
-#include <utility>
 #include <vector>
 
-#include "comm/detail.hpp"
+#include "comm/cshift.hpp"
 #include "core/array.hpp"
-#include "core/machine.hpp"
-#include "core/ops.hpp"
 
 namespace dpf::comm {
 
@@ -26,67 +26,22 @@ struct ShiftSpec {
   index_t offset = 0;
 };
 
-/// Returns one shifted view per spec, all produced in a single fused sweep.
+/// Returns one shifted view per spec, cshift(src, spec.axis, spec.offset),
+/// all produced by one ShiftBundle.
 template <typename T, std::size_t R>
 [[nodiscard]] std::vector<Array<T, R>> pshift(
     const Array<T, R>& src, std::span<const ShiftSpec> shifts) {
-  const auto& ext = src.shape().extents();
-  const auto strides = src.shape().strides();
-  const std::size_t k = shifts.size();
-
   std::vector<Array<T, R>> out;
-  out.reserve(k);
-  for (std::size_t s = 0; s < k; ++s) {
+  out.reserve(shifts.size());
+  for (std::size_t s = 0; s < shifts.size(); ++s) {
     out.emplace_back(src.shape(), src.layout(), MemKind::Temporary);
   }
-
-  // The fused sweep stays direct in both DPF_NET modes — splitting the
-  // bundle into per-shift messages would undo exactly the pipelining PSHIFT
-  // exists for. The constituent events still carry measured time.
-  detail::OpTimer timer;
-
-  // Precompute normalized offsets.
-  std::vector<index_t> norm(k);
-  for (std::size_t s = 0; s < k; ++s) {
-    const index_t n = ext[shifts[s].axis];
-    index_t o = shifts[s].offset % n;
-    if (o < 0) o += n;
-    norm[s] = o;
+  ShiftBundle<T> bundle;
+  for (std::size_t s = 0; s < shifts.size(); ++s) {
+    bundle.add_cshift(out[s], src, shifts[s].axis, shifts[s].offset);
   }
-
-  parallel_range(src.size(), [&](index_t lo, index_t hi) {
-    std::array<index_t, R> coord{};
-    for (index_t i = lo; i < hi; ++i) {
-      // Decode i once.
-      index_t rem = i;
-      for (std::size_t a = 0; a < R; ++a) {
-        coord[a] = rem / strides[a];
-        rem %= strides[a];
-      }
-      // Serve every bundled shift from the decoded coordinate.
-      for (std::size_t s = 0; s < k; ++s) {
-        const std::size_t ax = shifts[s].axis;
-        const index_t n = ext[ax];
-        index_t c = coord[ax] + norm[s];
-        if (c >= n) c -= n;
-        const index_t j = i + (c - coord[ax]) * strides[ax];
-        out[s][i] = src[j];
-      }
-    }
-  });
-
-  // Record each constituent shift; detail = 1 marks the bundled form. The
-  // measured time is split evenly across the bundle (payload-once: the
-  // sweep ran once).
-  const double per_shift_seconds =
-      k > 0 ? timer.seconds() / static_cast<double>(k) : 0.0;
-  for (std::size_t s = 0; s < k; ++s) {
-    detail::record(
-        CommPattern::CShift, static_cast<int>(R), static_cast<int>(R),
-        src.bytes(),
-        detail::shift_offproc_bytes(src, shifts[s].axis, norm[s], true),
-        /*detail=*/1, per_shift_seconds);
-  }
+  bundle.start();
+  bundle.finish();
   return out;
 }
 

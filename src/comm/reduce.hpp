@@ -11,7 +11,8 @@
 /// Per-VP partials run on the dpf::vec lane kernels: each block folds into
 /// kLanes fixed accumulator lanes combined in a deterministic order, so the
 /// result is identical under DPF_SIMD=on and off and stable across worker
-/// counts (see vec/kernels.hpp).
+/// counts (see vec/kernels.hpp). Every full reduction to a scalar but the
+/// serial MAXLOC is a kernel and a fold handed to detail::reduce_full.
 
 #include <algorithm>
 #include <vector>
@@ -25,117 +26,97 @@
 
 namespace dpf::comm {
 
+namespace detail {
+
+/// The one full reduction to a scalar. Every VP's partial starts at `init`
+/// (a VP with an empty block keeps it) and takes `kernel(block)` over its
+/// block; the partials travel the transport allgather under a
+/// message-passing DPF_NET mode, then fold in ascending VP order with
+/// `fold`, starting from `init` or, when `from_first` (max and min), from
+/// VP 0's partial. Records one Reduction of a rank-R array to a scalar:
+/// `bytes` of payload and (p-1)·sizeof(P) off-processor bytes, one partial
+/// from every other VP. Each caller passes its own kernel lambda, so each
+/// reduction keeps its own grain Site (spmd keys Sites by body type).
+template <std::size_t R, typename P, typename Kernel, typename Fold>
+[[nodiscard]] P reduce_full(index_t n, index_t bytes, P init, bool from_first,
+                            const Kernel& kernel, const Fold& fold) {
+  const int p = Machine::instance().vps();
+  OpTimer timer;
+  std::vector<P> partial(static_cast<std::size_t>(p), init);
+  for_each_block(n, [&](int vp, Block b) {
+    partial[static_cast<std::size_t>(vp)] = kernel(b);
+  });
+  share_partials(partial);
+  P total = from_first ? partial[0] : init;
+  for (const P& v : partial) total = fold(total, v);
+  record(CommPattern::Reduction, static_cast<int>(R), 0, bytes,
+         (p - 1) * static_cast<index_t>(sizeof(P)), 0, timer.seconds());
+  return total;
+}
+
+}  // namespace detail
+
 /// Full sum-reduction to a scalar.
 template <typename T, std::size_t R>
 [[nodiscard]] T reduce_sum(const Array<T, R>& a) {
-  const index_t n = a.size();
-  const int p = Machine::instance().vps();
-  detail::OpTimer timer;
-  std::vector<T> partial(static_cast<std::size_t>(p), T{});
   const T* xs = a.data().data();
-  for_each_block(n, [&](int vp, Block b) {
-    partial[static_cast<std::size_t>(vp)] = vec::sum(xs + b.begin, b.size());
-  });
-  detail::share_partials(partial);
-  T total{};
-  for (const T& v : partial) total += v;
-  flops::add_reduction(n);
-  detail::record(CommPattern::Reduction, static_cast<int>(R), 0, a.bytes(),
-                 (p - 1) * static_cast<index_t>(sizeof(T)), 0,
-                 timer.seconds());
-  return total;
+  flops::add_reduction(a.size());
+  return detail::reduce_full<R>(
+      a.size(), a.bytes(), T{}, false,
+      [xs](Block b) { return vec::sum(xs + b.begin, b.size()); },
+      [](T x, T y) { return x + y; });
 }
 
 /// Inner product sum(a*b): n multiplies plus an (n-1)-FLOP reduction.
 template <typename T, std::size_t R>
 [[nodiscard]] T dot(const Array<T, R>& a, const Array<T, R>& b) {
   assert(a.size() == b.size());
-  const index_t n = a.size();
-  const int p = Machine::instance().vps();
-  detail::OpTimer timer;
-  std::vector<T> partial(static_cast<std::size_t>(p), T{});
   const T* as = a.data().data();
   const T* bs = b.data().data();
-  for_each_block(n, [&](int vp, Block blk) {
-    partial[static_cast<std::size_t>(vp)] =
-        vec::dot(as + blk.begin, bs + blk.begin, blk.size());
-  });
-  detail::share_partials(partial);
-  T total{};
-  for (const T& v : partial) total += v;
-  flops::add(flops::Kind::AddSubMul, n);  // the elementwise products
-  flops::add_reduction(n);
-  detail::record(CommPattern::Reduction, static_cast<int>(R), 0, a.bytes(),
-                 (p - 1) * static_cast<index_t>(sizeof(T)), 0,
-                 timer.seconds());
-  return total;
+  flops::add(flops::Kind::AddSubMul, a.size());  // the elementwise products
+  flops::add_reduction(a.size());
+  return detail::reduce_full<R>(
+      a.size(), a.bytes(), T{}, false,
+      [as, bs](Block blk) {
+        return vec::dot(as + blk.begin, bs + blk.begin, blk.size());
+      },
+      [](T x, T y) { return x + y; });
 }
 
 /// Full max-reduction (counted N-1 like any reduction).
 template <typename T, std::size_t R>
 [[nodiscard]] T reduce_max(const Array<T, R>& a) {
   assert(a.size() > 0);
-  const index_t n = a.size();
-  const int p = Machine::instance().vps();
-  detail::OpTimer timer;
-  std::vector<T> partial(static_cast<std::size_t>(p), a[0]);
   const T* xs = a.data().data();
-  for_each_block(n, [&](int vp, Block b) {
-    partial[static_cast<std::size_t>(vp)] = vec::max(xs + b.begin, b.size());
-  });
-  detail::share_partials(partial);
-  T total = partial[0];
-  for (const T& v : partial) total = std::max(total, v);
-  flops::add_reduction(n);
-  detail::record(CommPattern::Reduction, static_cast<int>(R), 0, a.bytes(),
-                 (p - 1) * static_cast<index_t>(sizeof(T)), 0,
-                 timer.seconds());
-  return total;
+  flops::add_reduction(a.size());
+  return detail::reduce_full<R>(
+      a.size(), a.bytes(), a[0], true,
+      [xs](Block b) { return vec::max(xs + b.begin, b.size()); },
+      [](T x, T y) { return std::max(x, y); });
 }
 
 /// Full min-reduction.
 template <typename T, std::size_t R>
 [[nodiscard]] T reduce_min(const Array<T, R>& a) {
   assert(a.size() > 0);
-  const index_t n = a.size();
-  const int p = Machine::instance().vps();
-  detail::OpTimer timer;
-  std::vector<T> partial(static_cast<std::size_t>(p), a[0]);
   const T* xs = a.data().data();
-  for_each_block(n, [&](int vp, Block b) {
-    partial[static_cast<std::size_t>(vp)] = vec::min(xs + b.begin, b.size());
-  });
-  detail::share_partials(partial);
-  T total = partial[0];
-  for (const T& v : partial) total = std::min(total, v);
-  flops::add_reduction(n);
-  detail::record(CommPattern::Reduction, static_cast<int>(R), 0, a.bytes(),
-                 (p - 1) * static_cast<index_t>(sizeof(T)), 0,
-                 timer.seconds());
-  return total;
+  flops::add_reduction(a.size());
+  return detail::reduce_full<R>(
+      a.size(), a.bytes(), a[0], true,
+      [xs](Block b) { return vec::min(xs + b.begin, b.size()); },
+      [](T x, T y) { return std::min(x, y); });
 }
 
 /// Max-of-absolute-values reduction (the usual convergence check).
 template <typename T, std::size_t R>
 [[nodiscard]] T reduce_absmax(const Array<T, R>& a) {
   assert(a.size() > 0);
-  const index_t n = a.size();
-  const int p = Machine::instance().vps();
-  detail::OpTimer timer;
-  std::vector<T> partial(static_cast<std::size_t>(p), T{});
   const T* xs = a.data().data();
-  for_each_block(n, [&](int vp, Block b) {
-    partial[static_cast<std::size_t>(vp)] =
-        vec::absmax(xs + b.begin, b.size());
-  });
-  detail::share_partials(partial);
-  T total{};
-  for (const T& v : partial) total = std::max(total, v);
-  flops::add_reduction(n);
-  detail::record(CommPattern::Reduction, static_cast<int>(R), 0, a.bytes(),
-                 (p - 1) * static_cast<index_t>(sizeof(T)), 0,
-                 timer.seconds());
-  return total;
+  flops::add_reduction(a.size());
+  return detail::reduce_full<R>(
+      a.size(), a.bytes(), T{}, false,
+      [xs](Block b) { return vec::absmax(xs + b.begin, b.size()); },
+      [](T x, T y) { return std::max(x, y); });
 }
 
 /// Index of the maximum element of a rank-1 array (MAXLOC). Recorded as a
@@ -161,84 +142,57 @@ template <typename T>
 /// reduction.
 template <typename T, std::size_t R>
 [[nodiscard]] T reduce_product(const Array<T, R>& a) {
-  const index_t n = a.size();
-  const int p = Machine::instance().vps();
-  detail::OpTimer timer;
-  std::vector<T> partial(static_cast<std::size_t>(p), T{1});
   const T* xs = a.data().data();
-  for_each_block(n, [&](int vp, Block b) {
-    partial[static_cast<std::size_t>(vp)] =
-        vec::product(xs + b.begin, b.size());
-  });
-  detail::share_partials(partial);
-  T total{1};
-  for (const T& v : partial) total *= v;
-  flops::add_reduction(n);
-  detail::record(CommPattern::Reduction, static_cast<int>(R), 0, a.bytes(),
-                 (p - 1) * static_cast<index_t>(sizeof(T)), 0,
-                 timer.seconds());
-  return total;
+  flops::add_reduction(a.size());
+  return detail::reduce_full<R>(
+      a.size(), a.bytes(), T{1}, false,
+      [xs](Block b) { return vec::product(xs + b.begin, b.size()); },
+      [](T x, T y) { return x * y; });
 }
 
 /// The HPF ANY intrinsic: true if any mask element is set. A logical
 /// reduction — recorded, no FLOPs.
 template <std::size_t R>
 [[nodiscard]] bool any(const Array<std::uint8_t, R>& mask) {
-  const int p = Machine::instance().vps();
-  detail::OpTimer timer;
-  std::vector<std::uint8_t> partial(static_cast<std::size_t>(p), 0);
-  for_each_block(mask.size(), [&](int vp, Block b) {
-    std::uint8_t acc = 0;
-    for (index_t i = b.begin; i < b.end && !acc; ++i) acc |= mask[i];
-    partial[static_cast<std::size_t>(vp)] = acc;
-  });
-  detail::share_partials(partial);
-  bool result = false;
-  for (auto v : partial) result = result || v;
-  detail::record(CommPattern::Reduction, static_cast<int>(R), 0, mask.bytes(),
-                 (p - 1), 0, timer.seconds());
-  return result;
+  const std::uint8_t* ms = mask.data().data();
+  return detail::reduce_full<R>(
+             mask.size(), mask.bytes(), std::uint8_t{0}, false,
+             [ms](Block b) {
+               std::uint8_t acc = 0;
+               for (index_t i = b.begin; i < b.end && !acc; ++i) acc |= ms[i];
+               return acc;
+             },
+             [](std::uint8_t x, std::uint8_t y) {
+               return static_cast<std::uint8_t>(x || y);
+             }) != 0;
 }
 
 /// The HPF ALL intrinsic: true if every mask element is set.
 template <std::size_t R>
 [[nodiscard]] bool all(const Array<std::uint8_t, R>& mask) {
-  const int p = Machine::instance().vps();
-  detail::OpTimer timer;
-  std::vector<std::uint8_t> partial(static_cast<std::size_t>(p), 1);
-  for_each_block(mask.size(), [&](int vp, Block b) {
-    std::uint8_t acc = 1;
-    for (index_t i = b.begin; i < b.end && acc; ++i) {
-      acc = static_cast<std::uint8_t>(acc && mask[i]);
-    }
-    partial[static_cast<std::size_t>(vp)] = acc;
-  });
-  detail::share_partials(partial);
-  bool result = true;
-  for (auto v : partial) result = result && v;
-  detail::record(CommPattern::Reduction, static_cast<int>(R), 0, mask.bytes(),
-                 (p - 1), 0, timer.seconds());
-  return result;
+  const std::uint8_t* ms = mask.data().data();
+  return detail::reduce_full<R>(
+             mask.size(), mask.bytes(), std::uint8_t{1}, false,
+             [ms](Block b) {
+               std::uint8_t acc = 1;
+               for (index_t i = b.begin; i < b.end && acc; ++i) {
+                 acc = static_cast<std::uint8_t>(acc && ms[i]);
+               }
+               return acc;
+             },
+             [](std::uint8_t x, std::uint8_t y) {
+               return static_cast<std::uint8_t>(x && y);
+             }) != 0;
 }
 
 /// The HPF COUNT intrinsic: number of set mask elements.
 template <std::size_t R>
 [[nodiscard]] index_t count_true(const Array<std::uint8_t, R>& mask) {
-  const int p = Machine::instance().vps();
-  detail::OpTimer timer;
-  std::vector<index_t> partial(static_cast<std::size_t>(p), 0);
   const std::uint8_t* ms = mask.data().data();
-  for_each_block(mask.size(), [&](int vp, Block b) {
-    partial[static_cast<std::size_t>(vp)] =
-        vec::count_true(ms + b.begin, b.size());
-  });
-  detail::share_partials(partial);
-  index_t total = 0;
-  for (index_t v : partial) total += v;
-  detail::record(CommPattern::Reduction, static_cast<int>(R), 0, mask.bytes(),
-                 (p - 1) * static_cast<index_t>(sizeof(index_t)), 0,
-                 timer.seconds());
-  return total;
+  return detail::reduce_full<R>(
+      mask.size(), mask.bytes(), index_t{0}, false,
+      [ms](Block b) { return vec::count_true(ms + b.begin, b.size()); },
+      [](index_t x, index_t y) { return x + y; });
 }
 
 /// Masked sum — the paper's own example of HPF execution semantics
@@ -249,24 +203,15 @@ template <typename T, std::size_t R>
 [[nodiscard]] T reduce_sum_masked(const Array<T, R>& a,
                                   const Array<std::uint8_t, R>& mask) {
   assert(mask.size() == a.size());
-  const index_t n = a.size();
-  const int p = Machine::instance().vps();
-  detail::OpTimer timer;
-  std::vector<T> partial(static_cast<std::size_t>(p), T{});
   const T* xs = a.data().data();
   const std::uint8_t* ms = mask.data().data();
-  for_each_block(n, [&](int vp, Block b) {
-    partial[static_cast<std::size_t>(vp)] =
-        vec::sum_masked(xs + b.begin, ms + b.begin, b.size());
-  });
-  detail::share_partials(partial);
-  T total{};
-  for (const T& v : partial) total += v;
-  flops::add_reduction(n);  // full-array count per HPF semantics
-  detail::record(CommPattern::Reduction, static_cast<int>(R), 0, a.bytes(),
-                 (p - 1) * static_cast<index_t>(sizeof(T)), 0,
-                 timer.seconds());
-  return total;
+  flops::add_reduction(a.size());  // full-array count per HPF semantics
+  return detail::reduce_full<R>(
+      a.size(), a.bytes(), T{}, false,
+      [xs, ms](Block b) {
+        return vec::sum_masked(xs + b.begin, ms + b.begin, b.size());
+      },
+      [](T x, T y) { return x + y; });
 }
 
 /// Sum-reduction along `axis`, producing an array of rank R-1.

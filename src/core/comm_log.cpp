@@ -14,10 +14,6 @@ CommLog& CommLog::instance() {
 }
 
 void CommLog::record(const CommEvent& e) {
-  // Outermost-pattern-only rule: a primitive realized through another
-  // recording primitive (net collectives under a comm scope) contributes
-  // its bytes to the outer pattern alone.
-  if (RecordScope::depth() > 1) return;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (!enabled_) return;

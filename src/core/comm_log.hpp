@@ -8,6 +8,13 @@
 /// total bytes it moved and — using the layout's block distribution — how
 /// many of those bytes crossed a virtual-processor boundary. Tables 3, 6
 /// and 7 of the paper are regenerated from these events.
+///
+/// Every event enters the log one way: comm::detail::record (and its
+/// split-phase twin), which annotates hops and the predicted time first.
+/// The primitives and the analytic per-iteration records of the la and
+/// app layers all call it. The engine collectives of dpf::net record
+/// nothing: they only ever run inside the primitive whose event covers
+/// them.
 
 #include <cstdint>
 #include <map>
@@ -105,39 +112,11 @@ struct CommKey {
 /// single control thread, but SPMD bodies may record concurrently.
 class CommLog {
  public:
-  /// RAII marker for the dynamic extent of one recording primitive on the
-  /// calling thread. When primitives nest — e.g. a DPF_NET=overlap
-  /// cshift realized through net::exchange_planned, which is itself a
-  /// recording collective — only the *outermost* scope's event is kept:
-  /// record() drops events arriving at depth > 1, so payload bytes are
-  /// attributed to the pattern the program asked for, never double-counted
-  /// against the internal traffic that realized it.
-  class RecordScope {
-   public:
-    RecordScope() noexcept { ++depth_ref(); }
-    ~RecordScope() { --depth_ref(); }
-    RecordScope(const RecordScope&) = delete;
-    RecordScope& operator=(const RecordScope&) = delete;
-
-    /// Number of recording primitives on this thread's stack.
-    [[nodiscard]] static int depth() noexcept { return depth_ref(); }
-
-    /// True when this scope is the outermost recording primitive.
-    [[nodiscard]] bool outermost() const noexcept { return depth_ref() == 1; }
-
-   private:
-    static int& depth_ref() noexcept {
-      thread_local int depth = 0;
-      return depth;
-    }
-  };
-
   static CommLog& instance();
 
-  /// Appends one event. Calls made while more than one RecordScope is live
-  /// on this thread are dropped (see RecordScope); calls with no scope at
-  /// all (analytic per-iteration records from the la/app layers) always
-  /// land.
+  /// Appends one event as given. The library records through
+  /// comm::detail::record, which annotates the event first; tests append
+  /// here directly.
   void record(const CommEvent& e);
   void reset();
 

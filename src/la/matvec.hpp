@@ -52,10 +52,9 @@ inline void matvec1_opt(Array1<double>& y, const Array2<double>& a,
   flops::add(flops::Kind::AddSubMul, n * m);          // multiplies
   if (m > 1) flops::add(flops::Kind::AddSubMul, n * (m - 1));  // adds
   const int p = Machine::instance().vps();
-  CommLog::instance().record(CommEvent{CommPattern::Broadcast, 1, 2, x.bytes(),
-                                       p > 1 ? x.bytes() * (p - 1) / p : 0, 0});
-  CommLog::instance().record(CommEvent{CommPattern::Reduction, 2, 1, a.bytes(),
-                                       (p - 1) * 8, 0});
+  comm::detail::record(CommPattern::Broadcast, 1, 2, x.bytes(),
+                       p > 1 ? x.bytes() * (p - 1) / p : 0);
+  comm::detail::record(CommPattern::Reduction, 2, 1, a.bytes(), (p - 1) * 8);
 }
 
 /// Variant (1) in complex arithmetic — the paper's c/z rows of Table 4:
@@ -71,10 +70,9 @@ inline void matvec1_complex(Array1<complexd>& y, const Array2<complexd>& a,
   });
   flops::add_weighted(8 * n * m);
   const int p = Machine::instance().vps();
-  CommLog::instance().record(CommEvent{CommPattern::Broadcast, 1, 2, x.bytes(),
-                                       p > 1 ? x.bytes() * (p - 1) / p : 0, 0});
-  CommLog::instance().record(CommEvent{CommPattern::Reduction, 2, 1, a.bytes(),
-                                       (p - 1) * 16, 0});
+  comm::detail::record(CommPattern::Broadcast, 1, 2, x.bytes(),
+                       p > 1 ? x.bytes() * (p - 1) / p : 0);
+  comm::detail::record(CommPattern::Reduction, 2, 1, a.bytes(), (p - 1) * 16);
 }
 
 /// Variant (2): i instances, y(l,:) = A(l,:,:) x(l,:) with everything
@@ -97,10 +95,9 @@ inline void matvec2(Array2<double>& y, const Array3<double>& a,
   flops::add(flops::Kind::AddSubMul, inst * n * m);
   if (m > 1) flops::add(flops::Kind::AddSubMul, inst * n * (m - 1));
   const int p = Machine::instance().vps();
-  CommLog::instance().record(CommEvent{CommPattern::Broadcast, 2, 3, x.bytes(),
-                                       p > 1 ? x.bytes() * (p - 1) / p : 0, 0});
-  CommLog::instance().record(CommEvent{CommPattern::Reduction, 3, 2, a.bytes(),
-                                       (p - 1) * 8, 0});
+  comm::detail::record(CommPattern::Broadcast, 2, 3, x.bytes(),
+                       p > 1 ? x.bytes() * (p - 1) / p : 0);
+  comm::detail::record(CommPattern::Reduction, 3, 2, a.bytes(), (p - 1) * 8);
 }
 
 /// Variant (3): the matrix and vector axes are serial; instances are
@@ -155,8 +152,8 @@ inline void matvec4(Array2<double>& y, const Array3<double>& a,
   });
   flops::add(flops::Kind::AddSubMul, n * m * inst);
   const int p = Machine::instance().vps();
-  CommLog::instance().record(CommEvent{CommPattern::Broadcast, 2, 3, x.bytes(),
-                                       p > 1 ? x.bytes() * (p - 1) / p : 0, 0});
+  comm::detail::record(CommPattern::Broadcast, 2, 3, x.bytes(),
+                       p > 1 ? x.bytes() * (p - 1) / p : 0);
   // Reduce along the parallel column axis (axis 1).
   Array2<double> yt(Shape<2>(n, inst),
                     Layout<2>(AxisKind::Serial, AxisKind::Parallel),

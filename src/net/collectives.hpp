@@ -17,13 +17,16 @@
 /// associate identically; bcast_value delivers bit-exact copies. The
 /// data-movement collectives run the personalized exchange of
 /// exchange_plan.hpp.
+///
+/// None of them records a CommEvent. They are the realization of a
+/// dpf::comm primitive, which records the one event of the pattern the
+/// program asked for (comm::detail::record); their own traffic shows in
+/// Transport::stats() only.
 
+#include <algorithm>
 #include <cassert>
-#include <chrono>
-#include <cstring>
 #include <vector>
 
-#include "core/comm_log.hpp"
 #include "core/machine.hpp"
 #include "net/net.hpp"
 
@@ -39,47 +42,6 @@ inline int log2_ceil(int p) {
   return r;
 }
 
-/// RAII recorder for one engine collective. When the collective is invoked
-/// directly (not nested inside a recording comm primitive) it is itself a
-/// communication operation and logs one event whose bytes are the transport
-/// payload it posted. Nested invocations — every DPF_NET=overlap comm
-/// primitive routes through here — see a non-outermost RecordScope and stay
-/// silent, so the payload is attributed to the outermost pattern only.
-class EngineRecord {
- public:
-  EngineRecord(CommPattern pattern, int src_rank, int dst_rank)
-      : pattern_(pattern),
-        src_rank_(src_rank),
-        dst_rank_(dst_rank),
-        // A nested record logs nothing, so it skips the stats() sum.
-        bytes0_(scope_.outermost() ? transport().stats().bytes : 0),
-        t0_(std::chrono::steady_clock::now()) {}
-
-  EngineRecord(const EngineRecord&) = delete;
-  EngineRecord& operator=(const EngineRecord&) = delete;
-
-  ~EngineRecord() {
-    if (!scope_.outermost()) return;
-    const std::uint64_t moved = transport().stats().bytes - bytes0_;
-    if (moved == 0) return;
-    CommEvent e{pattern_, src_rank_, dst_rank_,
-                static_cast<index_t>(moved), static_cast<index_t>(moved), 0};
-    e.seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                              t0_)
-                    .count();
-    annotate(e);
-    CommLog::instance().record(e);
-  }
-
- private:
-  CommLog::RecordScope scope_;
-  CommPattern pattern_;
-  int src_rank_;
-  int dst_rank_;
-  std::uint64_t bytes0_;
-  std::chrono::steady_clock::time_point t0_;
-};
-
 }  // namespace coll_detail
 
 /// Allgather of one slot per VP: on entry slot[v] is VP v's contribution;
@@ -94,7 +56,6 @@ void allgather_slots(std::vector<T>& slot) {
   if (p <= 1) return;
   assert(slot.size() == static_cast<std::size_t>(p));
   Transport& t = transport();
-  coll_detail::EngineRecord rec(CommPattern::AABC, 1, 1);
 
   // local[v*p + u] = slot u as known by VP v.
   std::vector<T> local(static_cast<std::size_t>(p) * p, T{});
@@ -166,7 +127,6 @@ template <typename T>
   vals[0] = root_value;
   if (p <= 1) return vals;
   Transport& t = transport();
-  coll_detail::EngineRecord rec(CommPattern::Broadcast, 0, 1);
   const int rounds = coll_detail::log2_ceil(p);
   const std::uint64_t base = next_tags(static_cast<std::uint64_t>(rounds));
   for (int r = 0; r < rounds; ++r) {

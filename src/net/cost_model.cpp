@@ -10,7 +10,6 @@
 #include "core/array.hpp"
 #include "core/layout.hpp"
 #include "core/machine.hpp"
-#include "net/collectives.hpp"
 #include "net/exchange_plan.hpp"
 #include "net/net.hpp"
 
@@ -139,9 +138,7 @@ double probe_delta() {
       [](index_t i) { return (i % kSide) * kSide + i / kSide; },
       [&](index_t L) { return comm::detail::owner_id_linear(dst, L); },
       [&](index_t J) { return comm::detail::owner_id_linear(src, J); });
-  // Probe traffic is calibration, not payload: the scope makes the
-  // exchange's own EngineRecord non-outermost so nothing reaches CommLog.
-  CommLog::RecordScope suppress_probe;
+  // exchange_planned records nothing, so the probe adds no comm event.
   double total = 0.0;
   constexpr int kReps = 3;
   for (int rep = 0; rep < kReps; ++rep) {
@@ -290,13 +287,20 @@ double CostModel::predict(const CommEvent& e, int p, int workers,
       case CommPattern::Stencil:
       case CommPattern::Sort:
         break;  // no algorithmic formulation; fall through to direct below
+      case CommPattern::Scatter:
+      case CommPattern::ScatterCombine:
+      case CommPattern::Send:
+      case CommPattern::GatherCombine:
+        // The staged combine: a posting region, then one consume region
+        // with the local copies folded in, split or not.
+        return charge(2.0 * alpha + delta * n +
+                      beta * offproc * (hop_factor - 1.0));
       default:
-        // Engine patterns: the posting and fetching regions (split-phase
-        // runs pay a third region for the local pass between them) plus
-        // the calibrated per-element cost of the pack/post/probe/fetch/
-        // unpack machinery, with off-processor bytes paying the fat-tree
-        // contention surcharge.
-        return charge((e.split_phase ? 3.0 : 2.0) * alpha + delta * n +
+        // Engine patterns: the posting, local and consume regions, split
+        // or not, plus the calibrated per-element cost of the pack/post/
+        // probe/fetch/unpack machinery, with off-processor bytes paying
+        // the fat-tree contention surcharge.
+        return charge(3.0 * alpha + delta * n +
                       beta * offproc * (hop_factor - 1.0));
     }
   }

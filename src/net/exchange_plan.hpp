@@ -36,7 +36,6 @@
 #include "core/machine.hpp"
 #include "core/memo.hpp"
 #include "core/types.hpp"
-#include "net/collectives.hpp"
 #include "net/net.hpp"
 #include "net/transport.hpp"
 
@@ -280,11 +279,11 @@ void planned_consume(const PlanOp<T>* ops, std::size_t k, bool include_local) {
 }
 
 /// One-shot planned exchange in the three-phase protocol: post, the local
-/// copies while the messages are in flight, then consume.
+/// copies while the messages are in flight, then consume. Records nothing:
+/// the calling primitive's event covers the exchange.
 template <typename T>
 void exchange_planned(T* dst, const T* src, const ExchangePlan& plan,
                       T boundary = T{}) {
-  coll_detail::EngineRecord rec(CommPattern::AAPC, 1, 1);
   const std::uint64_t p = static_cast<std::uint64_t>(plan.p);
   const PlanOp<T> op{dst, src, &plan, next_tags(p * p), boundary};
   planned_post(&op, 1);

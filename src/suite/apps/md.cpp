@@ -49,8 +49,7 @@ void forces(MdState& s, index_t n, bool symmetric = false) {
   // 3 sends: mask the diagonal of the interaction arrays.
   const int p = Machine::instance().vps();
   for (int k = 0; k < 3; ++k) {
-    CommLog::instance().record(
-        CommEvent{CommPattern::Send, 1, 2, n * 8, (p - 1) * 8, 0});
+    comm::detail::record(CommPattern::Send, 1, 2, n * 8, (p - 1) * 8);
   }
   // Pairwise LJ kernel: ~48 weighted FLOPs/pair over the whole matrix, or
   // the upper triangle only (mirrored) in the symmetric formulation.

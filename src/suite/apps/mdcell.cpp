@@ -254,9 +254,8 @@ RunResult run_mdcell(const RunConfig& cfg) {
     // 7 scatters on the local slot axis (x, y, z, vx, vy, vz, occupancy).
     const int pvp = Machine::instance().vps();
     for (int k = 0; k < 7; ++k) {
-      CommLog::instance().record(CommEvent{CommPattern::Scatter, 4, 4,
-                                           g.px.bytes(),
-                                           (pvp - 1) * 8, 0});
+      comm::detail::record(CommPattern::Scatter, 4, 4, g.px.bytes(),
+                           (pvp - 1) * 8);
     }
     });
     rebinned_total += rebinned;

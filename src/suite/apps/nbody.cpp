@@ -50,8 +50,7 @@ void forces_broadcast(Particles& p, index_t n) {
   for (index_t j = 0; j < n; ++j) {
     const double xj = p.x[j], yj = p.y[j], mj = p.m[j];
     for (int b = 0; b < 3; ++b) {
-      CommLog::instance().record(CommEvent{CommPattern::Broadcast, 0, 1, 8,
-                                           (np - 1) * 8, 0});
+      comm::detail::record(CommPattern::Broadcast, 0, 1, 8, (np - 1) * 8);
     }
     parallel_range(n, [&](index_t lo, index_t hi) {
       for (index_t i = lo; i < hi; ++i) {

@@ -198,9 +198,8 @@ void dslash_fused(const QcdState& st, const Spinor& psi, Spinor& out) {
   complexd total{};
   for (index_t i = 0; i < a.size(); ++i) total += std::conj(a[i]) * b[i];
   flops::add(flops::Kind::AddSubMul, 8 * a.size());
-  CommLog::instance().record(CommEvent{CommPattern::Reduction, 5, 0, a.bytes(),
-                                       (Machine::instance().vps() - 1) * 16,
-                                       0});
+  comm::detail::record(CommPattern::Reduction, 5, 0, a.bytes(),
+                       (Machine::instance().vps() - 1) * 16);
   return total;
 }
 

@@ -133,9 +133,8 @@ RunResult run_qmc(const RunConfig& cfg) {
     // Route walkers to their slots (general send; one per copy).
     {
       const int pvp = Machine::instance().vps();
-      CommLog::instance().record(CommEvent{CommPattern::Send, 2, 2,
-                                           next_alive * dof * 8,
-                                           (pvp - 1) * dof * 8, 0});
+      comm::detail::record(CommPattern::Send, 2, 2, next_alive * dof * 8,
+                           (pvp - 1) * dof * 8);
     }
     parallel_range(alive, [&](index_t lo, index_t hi) {
       for (index_t w = lo; w < hi; ++w) {

@@ -100,9 +100,8 @@ RunResult run_qptransport(const RunConfig& cfg) {
     // processor; the data-parallel code realizes it with segmented scans —
     // recorded as the paper's 5 Scans).
     for (int k = 0; k < 5; ++k) {
-      CommLog::instance().record(CommEvent{CommPattern::Scan, 1, 1, n * 8,
-                                           (Machine::instance().vps() - 1) * 8,
-                                           0});
+      comm::detail::record(CommPattern::Scan, 1, 1, n * 8,
+                           (Machine::instance().vps() - 1) * 8);
     }
     fill_par(delta, 0.0);
     const double step = 0.5;

@@ -4,29 +4,39 @@
 // Each case draws, from its own seed, one primitive — cshift_into,
 // eoshift_into, a ShiftBundle of 1-4 mixed circular/end-off members over
 // arrays of different ranks, transpose_into, butterfly_into in place or out
-// of place, spread_into, gather_into, scatter_into or scatter_add_into —
-// and its input: ranks 1-3, extents 1-40 (so extents below p and p that
+// of place, spread_into, gather_into, scatter_into, scatter_add_into, one
+// of the ten full reductions (reduce_sum, dot, reduce_max, reduce_min,
+// reduce_absmax, reduce_product, any, all, count_true, reduce_sum_masked),
+// scan_sum_into inclusive or exclusive, or a pshift of 1-6 circular shifts
+// — and its input: ranks 1-3, extents 1-40 (so extents below p and p that
 // does not divide n), p in [1, 16], shifts in [-2n, 2n], block or cyclic
 // layouts, explicit processor grids and router maps with collisions. The
-// case runs under DPF_NET=direct and under DPF_NET=overlap on fresh inputs;
-// both results must equal the serial loop bitwise, the two modes must
-// record the same events (pattern, ranks, bytes, off-processor bytes,
-// detail), and under overlap the transport must carry exactly the recorded
-// off-processor bytes and hold no message afterwards. A failing case
-// prints its seed and its draw.
+// reduction and scan data are small integers (with +0.0 and -0.0 among the
+// sums' terms), so every fold is exact and the serial loop is a bitwise
+// oracle for any association. The case runs under DPF_NET=direct and
+// under DPF_NET=overlap on fresh inputs; both results must equal the
+// serial loop bitwise, the two modes must record the same events
+// (pattern, ranks, bytes, off-processor bytes, detail), and under overlap
+// the transport must hold no message afterwards and, for every data
+// movement, must have carried exactly the recorded off-processor bytes
+// (the reductions and the scan move per-VP partials instead). A failing
+// case prints its seed and its draw.
 //
 // Worker counts and the SIMD setting are not drawn: the CI legs run this
 // test at forced worker counts, under TSan and with DPF_SIMD=off.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <functional>
 #include <memory>
 #include <random>
+#include <span>
 #include <sstream>
 #include <string>
 #include <type_traits>
@@ -40,7 +50,7 @@ namespace dpf {
 namespace {
 
 constexpr std::uint64_t kBaseSeed = 0x27F0;
-constexpr int kCases = 400;
+constexpr int kCases = 640;
 
 /// The case's draws: every choice goes through here, in order.
 class Draw {
@@ -197,16 +207,81 @@ struct ShiftMember final : Member {
 
 /// One drawn case: `run` builds fresh inputs and runs the primitive in the
 /// current mode; `ref` is the serial loop's answer on the same inputs.
+/// `moves_data` is false for the reductions and the scan, whose transport
+/// traffic is the partials' allgather rather than the recorded
+/// off-processor bytes.
 struct Case {
   std::string desc;
   std::function<std::vector<double>()> run;
   std::vector<double> ref;
+  bool moves_data = true;
 };
+
+std::uint64_t bits_of(double v) {
+  std::uint64_t b = 0;
+  std::memcpy(&b, &v, sizeof b);
+  return b;
+}
+
+/// The term of an exact sum: a small integer, or one time in six +0.0 or
+/// -0.0.
+double sum_term(Draw& d) {
+  if (d.one_in(6)) return d.one_in(2) ? -0.0 : 0.0;
+  return static_cast<double>(d.in(-8, 8));
+}
+
+/// Runs the `which`-th full reduction on the case's arrays.
+template <std::size_t R>
+double reduce(index_t which, const Array<double, R>& a,
+              const Array<double, R>& b, const Array<std::uint8_t, R>& m) {
+  switch (which) {
+    case 0: return comm::reduce_sum(a);
+    case 1: return comm::dot(a, b);
+    case 2: return comm::reduce_max(a);
+    case 3: return comm::reduce_min(a);
+    case 4: return comm::reduce_absmax(a);
+    case 5: return comm::reduce_product(a);
+    case 6: return comm::any(m) ? 1.0 : 0.0;
+    case 7: return comm::all(m) ? 1.0 : 0.0;
+    case 8: return static_cast<double>(comm::count_true(m));
+    default: return comm::reduce_sum_masked(a, m);
+  }
+}
+
+constexpr const char* kReductions[] = {
+    "reduce_sum",     "dot", "reduce_max", "reduce_min", "reduce_absmax",
+    "reduce_product", "any", "all",        "count_true", "reduce_sum_masked"};
+
+/// The serial loop of the `which`-th reduction: one ascending fold.
+double reduce_ref(index_t which, const std::vector<double>& x,
+                  const std::vector<double>& y,
+                  const std::vector<std::uint8_t>& m) {
+  double acc = (which == 5 || which == 7) ? 1.0
+               : (which == 2 || which == 3) ? x[0]
+                                            : 0.0;
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    switch (which) {
+      case 0: acc += x[i]; break;
+      case 1: acc += x[i] * y[i]; break;
+      case 2: acc = std::max(acc, x[i]); break;
+      case 3: acc = std::min(acc, x[i]); break;
+      case 4: acc = std::max(acc, std::fabs(x[i])); break;
+      case 5: acc *= x[i]; break;
+      case 6: acc = (acc != 0.0 || m[i] != 0) ? 1.0 : 0.0; break;
+      case 7: acc = (acc != 0.0 && m[i] != 0) ? 1.0 : 0.0; break;
+      case 8: acc += m[i] != 0 ? 1.0 : 0.0; break;
+      default:
+        if (m[i] != 0) acc += x[i];
+    }
+  }
+  return acc;
+}
 
 Case draw_case(std::uint64_t seed) {
   Draw d(seed);
   const int p = static_cast<int>(d.in(1, 16));
-  const index_t kind = d.in(0, 9);
+  // Kinds 10-13 all draw a reduction: ten primitives share that branch.
+  const index_t kind = d.in(0, 15);
   std::ostringstream desc;
   desc << "seed=" << seed << " p=" << p << " ";
   Case c;
@@ -378,7 +453,7 @@ Case draw_case(std::uint64_t seed) {
         }
       }
     });
-  } else {  // gather (7), scatter (8), scatter-add (9) between two ranks
+  } else if (kind <= 9) {  // gather (7), scatter (8), scatter-add (9)
     const index_t rd = d.in(1, 3);
     const index_t rs = d.in(1, 3);
     with_rank(rd, [&](auto rkd) {
@@ -443,6 +518,107 @@ Case draw_case(std::uint64_t seed) {
         }
       });
     });
+  } else if (kind <= 13) {  // one of the ten full reductions
+    const index_t which = d.in(0, 9);
+    c.moves_data = false;
+    with_rank(d.in(1, 3), [&](auto rk) {
+      constexpr std::size_t R = decltype(rk)::value;
+      const auto e = draw_extents<R>(d);
+      desc << kReductions[which] << " ext=" << str(e) << " layout=";
+      const Layout<R> l = draw_layout<R>(d, p, desc);
+      index_t n = 1;
+      for (index_t x : e) n *= x;
+      // Mask density: none set (0), all set (4), or each element set with
+      // odds 1 in density + 1.
+      const index_t density = d.in(0, 4);
+      desc << " mask density=" << density;
+      std::vector<double> x(static_cast<std::size_t>(n));
+      std::vector<double> y(x.size());
+      std::vector<std::uint8_t> m(x.size());
+      int twos = 0;
+      for (std::size_t i = 0; i < x.size(); ++i) {
+        if (which == 5) {
+          // Products of +-1 with a few +-2: powers of two, exact.
+          const bool two = twos < 40 && d.one_in(16);
+          twos += two ? 1 : 0;
+          x[i] = (two ? 2.0 : 1.0) * (d.one_in(2) ? -1.0 : 1.0);
+        } else if (which >= 2 && which <= 4) {
+          x[i] = static_cast<double>(d.in(-50, 50));
+        } else {
+          x[i] = sum_term(d);
+        }
+        y[i] = sum_term(d);
+        m[i] = density == 0   ? 0
+               : density == 4 ? 1
+                              : static_cast<std::uint8_t>(d.one_in(
+                                    static_cast<int>(density) + 1));
+      }
+      c.run = [=] {
+        Array<double, R> a(Shape<R>(e), l), b(Shape<R>(e), l);
+        Array<std::uint8_t, R> mk(Shape<R>(e), l);
+        for (index_t i = 0; i < n; ++i) {
+          a[i] = x[static_cast<std::size_t>(i)];
+          b[i] = y[static_cast<std::size_t>(i)];
+          mk[i] = m[static_cast<std::size_t>(i)];
+        }
+        return std::vector<double>{reduce<R>(which, a, b, mk)};
+      };
+      c.ref = {reduce_ref(which, x, y, m)};
+    });
+  } else if (kind == 14) {  // scan_sum_into, inclusive or exclusive
+    const bool exclusive = d.one_in(2);
+    const auto e = draw_extents<1>(d);
+    desc << (exclusive ? "exclusive" : "inclusive") << " scan ext=" << str(e)
+         << " layout=";
+    const Layout<1> l = draw_layout<1>(d, p, desc);
+    std::vector<double> x(static_cast<std::size_t>(e[0]));
+    for (double& v : x) v = sum_term(d);
+    c.moves_data = false;
+    c.run = [=] {
+      Array1<double> src(Shape<1>(e), l), dst(Shape<1>(e), l);
+      for (index_t i = 0; i < e[0]; ++i) src[i] = x[std::size_t(i)];
+      comm::scan_sum_into(dst, src, exclusive);
+      return flat(dst);
+    };
+    double acc = 0.0;
+    for (const double v : x) {
+      if (exclusive) c.ref.push_back(acc);
+      acc += v;
+      if (!exclusive) c.ref.push_back(acc);
+    }
+  } else {  // pshift: 1-6 circular shifts of one array, one bundle
+    with_rank(d.in(1, 3), [&](auto rk) {
+      constexpr std::size_t R = decltype(rk)::value;
+      const auto e = draw_extents<R>(d);
+      std::vector<comm::ShiftSpec> specs(static_cast<std::size_t>(d.in(1, 6)));
+      desc << "pshift ext=" << str(e) << " specs";
+      for (comm::ShiftSpec& sp : specs) {
+        sp.axis = static_cast<std::size_t>(d.in(0, R - 1));
+        const index_t n = e[sp.axis];
+        sp.offset = d.one_in(4) ? 0 : d.in(-2 * n, 2 * n);
+        desc << " (" << sp.axis << "," << sp.offset << ")";
+      }
+      desc << " layout=";
+      const Layout<R> l = draw_layout<R>(d, p, desc);
+      c.run = [=] {
+        Array<double, R> src(Shape<R>(e), l);
+        fill(src, seed);
+        std::vector<double> out;
+        for (const auto& v :
+             comm::pshift(src, std::span<const comm::ShiftSpec>(specs))) {
+          const auto r = flat(v);
+          out.insert(out.end(), r.begin(), r.end());
+        }
+        return out;
+      };
+      Array<double, R> src(Shape<R>(e), l);
+      fill(src, seed);
+      for (const comm::ShiftSpec& sp : specs) {
+        const auto r =
+            ref_shift<R>(flat(src), e, sp.axis, sp.offset, true, 0.0);
+        c.ref.insert(c.ref.end(), r.begin(), r.end());
+      }
+    });
   }
   c.desc = desc.str();
   Machine::instance().configure(p);
@@ -491,8 +667,12 @@ TEST_F(CommFuzzTest, DirectAndOverlapMatchSerialLoop) {
     ASSERT_EQ(c.ref.size(), direct.out.size());
     ASSERT_EQ(c.ref.size(), overlap.out.size());
     for (std::size_t i = 0; i < c.ref.size(); ++i) {
-      ASSERT_EQ(c.ref[i], direct.out[i]) << "direct differs at " << i;
-      ASSERT_EQ(c.ref[i], overlap.out[i]) << "overlap differs at " << i;
+      ASSERT_EQ(bits_of(c.ref[i]), bits_of(direct.out[i]))
+          << "direct differs at " << i << ": " << direct.out[i] << " vs "
+          << c.ref[i];
+      ASSERT_EQ(bits_of(c.ref[i]), bits_of(overlap.out[i]))
+          << "overlap differs at " << i << ": " << overlap.out[i] << " vs "
+          << c.ref[i];
     }
 
     ASSERT_FALSE(direct.events.empty());
@@ -510,8 +690,13 @@ TEST_F(CommFuzzTest, DirectAndOverlapMatchSerialLoop) {
       offproc += b.offproc_bytes;
     }
     EXPECT_EQ(0u, direct.posted);
-    EXPECT_EQ(static_cast<std::uint64_t>(offproc), overlap.posted)
-        << "the transport must carry exactly the off-processor bytes";
+    if (c.moves_data) {
+      EXPECT_EQ(static_cast<std::uint64_t>(offproc), overlap.posted)
+          << "the transport must carry exactly the off-processor bytes";
+    } else {
+      EXPECT_EQ(Machine::instance().vps() > 1, overlap.posted > 0)
+          << "the partials travel the transport exactly when p > 1";
+    }
     if (HasFailure()) return;
   }
 }

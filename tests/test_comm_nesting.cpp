@@ -1,18 +1,16 @@
-// Regression tests for the outermost-pattern-only accounting rule: when a
-// comm primitive is realized through internally-recording collectives (the
-// DPF_NET=overlap paths route through net::exchange_planned and the
-// slot allgather, which are recording primitives in their own right), the
-// payload must be attributed to the pattern the program asked for exactly
-// once — never double-counted against the internal exchange traffic.
+// Regression tests for the one-event-per-primitive accounting rule: when a
+// comm primitive is realized through the engine collectives (the
+// DPF_NET=overlap paths route through net::exchange_planned and the slot
+// allgather), the payload is attributed to the pattern the program asked
+// for exactly once. The engine collectives record nothing of their own, so
+// the internal exchange traffic shows in the transport counters only.
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <vector>
 
 #include "comm/comm.hpp"
 #include "core/machine.hpp"
-#include "net/collectives.hpp"
 #include "net/net.hpp"
 
 namespace dpf {
@@ -33,31 +31,6 @@ class CommNestingTest : public ::testing::Test {
     Machine::instance().configure(Machine::default_vps());
   }
 };
-
-// The RecordScope contract itself: depth-1 events land, deeper ones drop.
-TEST_F(CommNestingTest, NestedRecordScopeDropsInnerEvents) {
-  CommLog& log = CommLog::instance();
-  CommEvent outer{CommPattern::CShift, 1, 1, 100, 50, 0};
-  CommEvent inner{CommPattern::AAPC, 1, 1, 100, 100, 0};
-  {
-    CommLog::RecordScope scope;
-    EXPECT_TRUE(scope.outermost());
-    log.record(outer);
-    {
-      CommLog::RecordScope nested;
-      EXPECT_FALSE(nested.outermost());
-      log.record(inner);  // dropped: depth 2
-    }
-    log.record(outer);  // back at depth 1: kept
-  }
-  const auto events = log.events();
-  ASSERT_EQ(events.size(), 2u);
-  EXPECT_EQ(events[0].pattern, CommPattern::CShift);
-  EXPECT_EQ(events[1].pattern, CommPattern::CShift);
-  // Scope-free records (the la/app analytic counters) always land.
-  log.record(inner);
-  EXPECT_EQ(log.event_count(), 3u);
-}
 
 // The headline regression: a message-passing cshift logs one CSHIFT event with
 // the payload bytes — not an extra AAPC from the net::exchange_planned
@@ -104,28 +77,6 @@ TEST_F(CommNestingTest, AlgorithmicReduceLogsReductionOnly) {
   ASSERT_EQ(events.size(), 1u);
   EXPECT_EQ(events[0].pattern, CommPattern::Reduction);
   EXPECT_EQ(CommLog::instance().count(CommPattern::AABC), 0);
-}
-
-// Called directly — outside any comm primitive — an engine collective *is*
-// the communication operation, so it records itself. This is what makes
-// the suppression above meaningful rather than vacuous.
-TEST_F(CommNestingTest, DirectEngineCollectiveRecordsItself) {
-  std::vector<double> slot(4);
-  for (int v = 0; v < 4; ++v) slot[static_cast<std::size_t>(v)] = v + 1.0;
-
-  net::transport().reset();
-  CommLog::instance().reset();
-  net::allgather_slots(slot);
-
-  const auto events = CommLog::instance().events();
-  ASSERT_EQ(events.size(), 1u);
-  EXPECT_EQ(events[0].pattern, CommPattern::AABC);
-  EXPECT_EQ(events[0].bytes,
-            static_cast<index_t>(net::transport().stats().bytes))
-      << "bytes of a direct engine collective are its transport payload";
-  for (int v = 0; v < 4; ++v) {
-    EXPECT_DOUBLE_EQ(slot[static_cast<std::size_t>(v)], v + 1.0);
-  }
 }
 
 }  // namespace

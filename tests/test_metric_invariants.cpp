@@ -5,7 +5,9 @@
 //     peak) is at most 100%;
 //   - core-busy seconds are at most elapsed seconds times the workers;
 //   - every check has the same IEEE-754 bits at one worker and at four,
-//     whichever regions ran inline on the dispatcher and which fanned out.
+//     whichever regions ran inline on the dispatcher and which fanned out;
+//   - every recorded comm event, timed or analytic, carries a hop count
+//     and, with the cost model calibrated, a positive predicted time.
 // And the machine peak is the per-core peak times min(vps, workers, hardware
 // threads), following configure() without a second probe.
 
@@ -22,8 +24,10 @@
 #include <utility>
 #include <vector>
 
+#include "core/comm_log.hpp"
 #include "core/machine.hpp"
 #include "core/registry.hpp"
+#include "net/net.hpp"
 #include "suite/register_all.hpp"
 
 namespace dpf {
@@ -68,6 +72,7 @@ ChecksByBenchmark expect_invariants_for_all(int workers) {
   ScopedMachine scoped(workers, 16);
   Machine& machine = Machine::instance();
   EXPECT_EQ(machine.workers(), workers);
+  net::calibrate();
   register_all_benchmarks();
   ChecksByBenchmark checks;
   std::vector<std::pair<std::string, Metrics>> windows;
@@ -91,6 +96,12 @@ ChecksByBenchmark expect_invariants_for_all(int workers) {
         << " MFLOPS per-core peak";
     EXPECT_LE(m.busy_core_seconds, m.elapsed_seconds * machine.workers())
         << what << " at " << machine.workers() << " workers";
+    std::size_t unannotated = 0;
+    for (const CommEvent& e : m.comm_events) {
+      if (e.hops <= 0 || !(e.predicted_seconds > 0.0)) ++unannotated;
+    }
+    EXPECT_EQ(unannotated, 0u)
+        << what << ": events without a hop count or a predicted time";
   }
   return checks;
 }

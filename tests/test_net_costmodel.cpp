@@ -118,6 +118,36 @@ TEST_F(NetCostModelTest, PredictScalesWithPayloadAndIsPositive) {
             cm.predict(local, 16, 4, false));
 }
 
+// Under a message-passing mode an engine event pays alpha once per region
+// it runs: three (post, local, consume) for the exchange patterns and two
+// (post, then consume with the local copies folded in) for the staged
+// combine, split-phase or not.
+TEST_F(NetCostModelTest, EnginePatternsPayOneAlphaPerRegion) {
+  auto& cm = net::CostModel::instance();
+  net::CostModel::Params p;
+  p.alpha = 1.0;  // beta = gamma = delta = 0: only the region count is left
+  cm.set_params(p);
+  for (const bool split : {false, true}) {
+    for (CommPattern pat :
+         {CommPattern::CShift, CommPattern::EOShift, CommPattern::AAPC,
+          CommPattern::Spread, CommPattern::Gather, CommPattern::Get,
+          CommPattern::Butterfly}) {
+      CommEvent e{pat, 2, 2, 1 << 12, 1 << 10, 0};
+      e.split_phase = split;
+      EXPECT_EQ(cm.predict(e, 16, 4, /*algorithmic=*/true), 3.0)
+          << to_string(pat) << (split ? " split" : "");
+    }
+    for (CommPattern pat :
+         {CommPattern::Scatter, CommPattern::ScatterCombine,
+          CommPattern::Send, CommPattern::GatherCombine}) {
+      CommEvent e{pat, 2, 2, 1 << 12, 1 << 10, 0};
+      e.split_phase = split;
+      EXPECT_EQ(cm.predict(e, 16, 4, /*algorithmic=*/true), 2.0)
+          << to_string(pat) << (split ? " split" : "");
+    }
+  }
+}
+
 TEST_F(NetCostModelTest, AnnotateFillsHopsAndPrediction) {
   auto& cm = net::CostModel::instance();
   net::CostModel::Params p;

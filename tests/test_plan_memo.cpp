@@ -3,7 +3,8 @@
 // of as many keys as the capacity rebuilds nothing on its second run,
 // eviction takes exactly the least recently used entry, an rp-shaped
 // overlapped stencil builds each of its six shift plans once, the shift
-// off-processor memo agrees with a fresh scan, owner tables agree with
+// off-processor memo agrees with a fresh scan and keeps one entry per axis
+// shape whatever the element type or rank, owner tables agree with
 // owner_id_linear on every element and are shared per ownership structure,
 // and `dpfrun --report comm` prints the plan and owner-table counters.
 
@@ -173,6 +174,44 @@ TEST_F(PlanMemoMachineTest, ShiftOffprocMemoMatchesAFreshScan) {
           << "eoshift " << s;
     }
   }
+}
+
+TEST_F(PlanMemoMachineTest, ShiftMemoSharedAcrossElementTypesAndRanks) {
+  Machine::instance().configure(4);
+  comm::detail::shift_memo().clear();
+  const MemoStats before = comm::detail::shift_memo().stats();
+  // One axis shape, extent 10 over 4 processors shifted by 3, under three
+  // element types and ranks: one key.
+  const auto v = make_vector<double>(10);
+  const Array1<complexd> c{Shape<1>(10)};
+  const Array2<double> m{Shape<2>(10, 6)};
+  ASSERT_EQ(m.layout().procs_on_axis(0, 4), 4);
+  const index_t dv = comm::detail::shift_offproc_bytes(v, 0, 3, true);
+  const index_t dc = comm::detail::shift_offproc_bytes(c, 0, 3, true);
+  const index_t dm = comm::detail::shift_offproc_bytes(m, 0, 3, true);
+  const MemoStats after = comm::detail::shift_memo().stats();
+  EXPECT_EQ(after.built - before.built, 1u);
+  EXPECT_EQ(after.reused - before.reused, 2u);
+  EXPECT_GT(dv, 0);
+  EXPECT_EQ(dc, 2 * dv) << "only the bytes per axis position differ";
+  EXPECT_EQ(dm, 6 * dv) << "only the bytes per axis position differ";
+}
+
+TEST_F(PlanMemoMachineTest, FortyShiftKeysRunTwiceBuildEachOnce) {
+  static_assert(comm::detail::ShiftMemo::kCapacity == 64);
+  Machine::instance().configure(4);
+  comm::detail::shift_memo().clear();
+  const MemoStats before = comm::detail::shift_memo().stats();
+  const auto v = make_vector<double>(64);
+  for (int round = 0; round < 2; ++round) {
+    for (index_t s = 1; s <= 40; ++s) {
+      (void)comm::detail::shift_offproc_bytes(v, 0, s, true);
+    }
+  }
+  const MemoStats after = comm::detail::shift_memo().stats();
+  EXPECT_EQ(after.built - before.built, 40u);
+  EXPECT_EQ(after.reused - before.reused, 40u);
+  EXPECT_EQ(after.evicted - before.evicted, 0u);
 }
 
 /// Expects owner_table(a) to hold owner_id_linear(a, i) for every i of `a`

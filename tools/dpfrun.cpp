@@ -34,7 +34,9 @@
 /// cost model before the run and prints a per-pattern table of counts,
 /// bytes, VP-crossing bytes and measured vs predicted communication time,
 /// plus one line of exchange-plan memo counters (built / reused / evicted
-/// during the run, calibration excluded); `--report trace` enables the
+/// during the run, calibration excluded), the predicted/measured ratio
+/// over the timed events and the count of untimed (analytic) events,
+/// which carry a prediction but no measured time; `--report trace` enables the
 /// dpf::trace timeline and prints the per-worker busy/comm/idle summary.
 /// `--trace FILE.json` records a full timeline and exports Chrome
 /// trace-event JSON (open in Perfetto or chrome://tracing);
@@ -450,10 +452,23 @@ int cmd_run(const std::string& name, const std::vector<std::string>& args) {
           "compute)\n",
           total.split, total.overlap);
     }
-    if (total.seconds > 0.0 && total.predicted > 0.0) {
-      std::printf("  predicted/measured     : %.2fx\n",
-                  total.predicted / total.seconds);
+    // The ratio compares timed events only: an analytic record carries a
+    // prediction but no measured time, so it would inflate the numerator.
+    long long timed = 0;
+    double timed_seconds = 0.0;
+    double timed_predicted = 0.0;
+    for (const CommEvent& e : r.metrics.comm_events) {
+      if (e.seconds <= 0.0) continue;
+      ++timed;
+      timed_seconds += e.seconds;
+      timed_predicted += e.predicted_seconds;
     }
+    if (timed_seconds > 0.0 && timed_predicted > 0.0) {
+      std::printf("  predicted/measured     : %.2fx over %lld timed events\n",
+                  timed_predicted / timed_seconds, timed);
+    }
+    std::printf("  untimed events         : %lld of %lld\n",
+                total.count - timed, total.count);
   } else {
     std::printf("\ncommunication (pattern, src rank -> dst rank: count):\n");
     for (const auto& [key, count] : r.metrics.comm_counts()) {
