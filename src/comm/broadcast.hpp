@@ -92,23 +92,16 @@ void spread_into(Array<T, R>& dst, const Array<T, R - 1>& src,
     });
   }
 
+  const double seconds = timer.seconds();
   // Off-processor bytes: the replicas whose owner differs from their
-  // source element's owner. The sweep runs once per shape.
-  index_t offproc = 0;
-  if (p > 1) {
-    static thread_local detail::OffprocMemo memo;
-    offproc = memo.get(key.h, [&] {
-      index_t off = 0;
-      for (index_t L = 0; L < dst.size(); ++L) {
-        if (owner_dst(L) != owner_src(source_of(L))) {
-          off += static_cast<index_t>(sizeof(T));
-        }
-      }
-      return off;
-    });
-  }
+  // source element's owner.
+  const index_t moved =
+      p > 1 ? detail::moved_elems(key.h, dst.size(), source_of, owner_dst,
+                                  owner_src)
+            : 0;
   detail::record(pattern, static_cast<int>(R - 1), static_cast<int>(R),
-                 dst.bytes(), offproc, 0, timer.seconds());
+                 dst.bytes(), moved * static_cast<index_t>(sizeof(T)), 0,
+                 seconds);
 }
 
 /// Returns SPREAD(src, axis, copies) as a library temporary.

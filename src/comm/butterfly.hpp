@@ -36,7 +36,23 @@ void butterfly_into(Array<T, R>& dst, const Array<T, R>& src, index_t h) {
   assert(n % (2 * h) == 0);
 
   const bool inplace = detail::same_store(dst, src);
+  const auto partner = [h](index_t i) { return i ^ h; };
+  const auto owner_dst = [&](index_t L) {
+    return detail::owner_id_linear(dst, L);
+  };
+  const auto owner_src = [&](index_t j) {
+    return detail::owner_id_linear(src, j);
+  };
+  // The routing and the off-processor count depend only on (h, n) and both
+  // arrays' owner structures; they share one key.
   const int p = Machine::instance().vps();
+  detail::KeyHash key;
+  key.mix(0x4246u);  // pattern discriminator: butterfly
+  key.mix(static_cast<std::uint64_t>(h));
+  key.mix(static_cast<std::uint64_t>(n));
+  key.mix(sizeof(T));
+  key.mix_owner_structure(src, p);
+  key.mix_owner_structure(dst, p);
   detail::OpTimer timer;
 
   if (net::algorithmic() && p > 1) {
@@ -48,17 +64,7 @@ void butterfly_into(Array<T, R>& dst, const Array<T, R>& src, index_t h) {
       snap.assign(sp, sp + n);
       sp = snap.data();
     }
-    detail::KeyHash skey;
-    skey.mix(0x4246u);  // pattern discriminator: butterfly
-    skey.mix(static_cast<std::uint64_t>(h));
-    skey.mix(static_cast<std::uint64_t>(n));
-    skey.mix(sizeof(T));
-    skey.mix_owner_structure(src, p);
-    skey.mix_owner_structure(dst, p);
-    const auto plan = net::plan_for(
-        skey.h, n, p, [=](index_t L) { return L ^ h; },
-        [&](index_t L) { return detail::owner_id_linear(dst, L); },
-        [&](index_t j) { return detail::owner_id_linear(src, j); });
+    const auto plan = net::plan_for(key.h, n, p, partner, owner_dst, owner_src);
     net::exchange_planned(dst.data().data(), sp, *plan);
   } else if (inplace) {
     // Pair swap: pair k couples i and i + h with i = (k/h)*2h + k%h.
@@ -77,32 +83,12 @@ void butterfly_into(Array<T, R>& dst, const Array<T, R>& src, index_t h) {
     });
   }
 
-  // The ownership sweep is a pure function of (h, shapes, layouts, p) —
-  // memoized so an FFT's log2(n) distinct stage distances each scan once
-  // across all iterations.
-  index_t offproc = 0;
-  if (p > 1) {
-    detail::KeyHash key;
-    key.mix(static_cast<std::uint64_t>(p));
-    key.mix(static_cast<std::uint64_t>(h));
-    key.mix(sizeof(T));
-    key.mix_owner_structure(src, p);
-    key.mix_owner_structure(dst, p);
-    static thread_local detail::OffprocMemo memo;
-    offproc = memo.get(key.h, [&] {
-      index_t moved = 0;
-      for (index_t i = 0; i < n; ++i) {
-        if (detail::owner_id_linear(dst, i) !=
-            detail::owner_id_linear(src, i ^ h)) {
-          moved += static_cast<index_t>(sizeof(T));
-        }
-      }
-      return moved;
-    });
-  }
+  const double seconds = timer.seconds();
+  const index_t moved =
+      p > 1 ? detail::moved_elems(key.h, n, partner, owner_dst, owner_src) : 0;
   detail::record(CommPattern::Butterfly, static_cast<int>(R),
-                 static_cast<int>(R), src.bytes(), offproc, h,
-                 timer.seconds());
+                 static_cast<int>(R), src.bytes(),
+                 moved * static_cast<index_t>(sizeof(T)), h, seconds);
 }
 
 /// Returns butterfly(src, h) as a library temporary.

@@ -37,8 +37,7 @@ class OpTimer {
 };
 
 /// FNV-1a key accumulator for the engine's memos (core/memo.hpp): the
-/// exchange-plan memo, the owner-table memo and the off-processor byte
-/// memos below.
+/// exchange-plan memo, the owner-table memo and the count memo below.
 struct KeyHash {
   std::uint64_t h = kFnvBasis;
   void mix(std::uint64_t v) { h = fnv_mix(h, v); }
@@ -57,26 +56,6 @@ struct KeyHash {
   }
 };
 
-/// Memo of off-processor byte scans, one per call site and thread. The
-/// scans are pure functions of the arrays' ownership structure, and the
-/// suite's apps re-issue the same operation shape every iteration — so each
-/// scan runs once per shape instead of once per call. Record-side only
-/// (control thread).
-using OffprocMemo = LruMemo<index_t, 16>;
-
-/// Memo of shift position counts (shift_offproc_bytes), one per thread and
-/// 64 entries like net::PlanMemo. Its key holds no element type or rank,
-/// so every cshift, eoshift and ShiftBundle member of one axis shape
-/// shares an entry.
-using ShiftMemo = LruMemo<index_t, 64>;
-
-/// This thread's shift-count memo; its stats() count the sweeps it ran
-/// and the lookups it saved.
-[[nodiscard]] inline ShiftMemo& shift_memo() {
-  static thread_local ShiftMemo memo;
-  return memo;
-}
-
 /// True when two arrays share one backing store (full aliasing — the
 /// in-place case the payload-once accounting rule covers).
 template <typename T, std::size_t R>
@@ -84,20 +63,43 @@ template <typename T, std::size_t R>
   return a.data().data() == b.data().data();
 }
 
-/// Number of positions j in [0,n) whose owner under the given distribution
-/// over `procs` processors (the machine VP count when 0) differs from the
-/// owner of perm(j).
-template <typename PermFn>
-[[nodiscard]] index_t moved_slots(index_t n, PermFn&& perm,
-                                  Dist d = Dist::Block, int procs = 0) {
-  const int p = procs > 0 ? procs : Machine::instance().vps();
-  if (p <= 1 || n == 0) return 0;
+/// Memo of off-processor element counts (moved_elems below), one per
+/// thread, 64 entries like net::PlanMemo. The counts are pure functions of
+/// a movement's shape, and the suite's codes repeat the same shapes
+/// every iteration, so each count sweeps once per shape: the whole suite
+/// holds 54 keys at DPF_VPS=16 and a warm pass builds none.
+using CountMemo = LruMemo<index_t, 64>;
+
+/// This thread's count memo; its stats() count the sweeps it ran and the
+/// lookups it saved.
+[[nodiscard]] inline CountMemo& count_memo() {
+  static thread_local CountMemo memo;
+  return memo;
+}
+
+/// Off-processor elements of the data movement dst[i] = src[map(i)], i in
+/// [0, n): the i whose owner differs from the owner of their source
+/// element (docs/METRICS.md section 4). Every swept count of the library
+/// is this loop. A boundary fill maps i to an element with i's own owner,
+/// so it never counts. The body stays a plain compare-add: a guarded form
+/// (`if (j >= 0 && ...) ++moved`) doubled the router's scan.
+template <typename Map, typename OwnerDst, typename OwnerSrc>
+[[nodiscard]] index_t moved_elems(index_t n, Map&& map, OwnerDst&& owner_dst,
+                                  OwnerSrc&& owner_src) {
   index_t moved = 0;
-  for (index_t j = 0; j < n; ++j) {
-    const index_t k = perm(j);
-    if (owner_of(n, p, j, d) != owner_of(n, p, k, d)) ++moved;
-  }
+  for (index_t i = 0; i < n; ++i) moved += owner_dst(i) != owner_src(map(i));
   return moved;
+}
+
+/// moved_elems through this thread's count memo. `key` must fold every
+/// input of the count but n, which is folded in here; callers pass the
+/// key they give net::plan_for, or an axis key for the shifts.
+template <typename Map, typename OwnerDst, typename OwnerSrc>
+[[nodiscard]] index_t moved_elems(std::uint64_t key, index_t n, Map&& map,
+                                  OwnerDst&& owner_dst, OwnerSrc&& owner_src) {
+  return count_memo().get(fnv_mix(key, static_cast<std::uint64_t>(n)), [&] {
+    return moved_elems(n, map, owner_dst, owner_src);
+  });
 }
 
 /// Off-processor bytes of a shift of `src` by `s` along `axis`: the axis
@@ -106,7 +108,8 @@ template <typename PermFn>
 /// EOSHIFT (r(j) = a(j + s), boundary fills local) semantics; a circular
 /// `s` must already be reduced to [0, n). The position count depends only
 /// on (extent, s, distribution, processors on the axis, circular), so it
-/// is memoized on exactly those.
+/// is keyed on exactly those: no element type or rank, and one entry
+/// serves every cshift, eoshift and ShiftBundle member of one axis shape.
 template <typename T, std::size_t R>
 [[nodiscard]] index_t shift_offproc_bytes(const Array<T, R>& src,
                                           std::size_t axis, index_t s,
@@ -117,52 +120,41 @@ template <typename T, std::size_t R>
   const Dist d = src.layout().dist();
   KeyHash key;
   key.mix(circular ? 1 : 0);
-  key.mix(static_cast<std::uint64_t>(n));
   key.mix(static_cast<std::uint64_t>(s));
   key.mix(static_cast<std::uint64_t>(static_cast<int>(d)));
   key.mix(static_cast<std::uint64_t>(procs));
-  const index_t moved = shift_memo().get(key.h, [&] {
-    if (circular) {
-      return moved_slots(n, [&](index_t j) { return (j + s) % n; }, d, procs);
-    }
-    return moved_slots(
-        n,
-        [&](index_t j) {
-          const index_t jj = j + s;
-          return (jj >= 0 && jj < n) ? jj : j;  // boundary fills are local
-        },
-        d, procs);
-  });
+  const auto owner = [=](index_t j) { return owner_of(n, procs, j, d); };
+  const index_t moved =
+      circular
+          ? moved_elems(
+                key.h, n, [=](index_t j) { return (j + s) % n; }, owner, owner)
+          : moved_elems(
+                key.h, n,
+                [=](index_t j) {
+                  const index_t jj = j + s;
+                  return (jj >= 0 && jj < n) ? jj : j;  // fills are local
+                },
+                owner, owner);
   return moved * (src.bytes() / n);
 }
 
-/// Encoded owner id of the element at `coord` of array `a`, combining the
-/// per-axis owners of every distributed axis (explicit grid when set, the
+/// Encoded owner id of linear element i of array a, combining the per-axis
+/// owners of every distributed axis (explicit grid when set, the
 /// outermost-parallel-axis fold otherwise).
 template <typename T, std::size_t R>
-[[nodiscard]] int owner_id(const Array<T, R>& a,
-                           const std::array<index_t, R>& coord) {
+[[nodiscard]] int owner_id_linear(const Array<T, R>& a, index_t i) {
   const int p = Machine::instance().vps();
   if (p <= 1) return 0;
   const auto& layout = a.layout();
+  const auto strides = a.shape().strides();
   int id = 0;
   for (std::size_t ax = 0; ax < R; ++ax) {
     const int g = layout.procs_on_axis(ax, p);
     if (g <= 1) continue;
-    id = id * g + owner_of(a.extent(ax), g, coord[ax], layout.dist());
+    const index_t c = (i / strides[ax]) % a.extent(ax);
+    id = id * g + owner_of(a.extent(ax), g, c, layout.dist());
   }
   return id;
-}
-
-/// Encoded owner id of linear element i of array a.
-template <typename T, std::size_t R>
-[[nodiscard]] int owner_id_linear(const Array<T, R>& a, index_t i) {
-  const auto strides = a.shape().strides();
-  std::array<index_t, R> coord{};
-  for (std::size_t ax = 0; ax < R; ++ax) {
-    coord[ax] = (i / strides[ax]) % a.extent(ax);
-  }
-  return owner_id(a, coord);
 }
 
 /// Owner ids of every linear element of one ownership structure:

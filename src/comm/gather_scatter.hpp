@@ -35,8 +35,8 @@ namespace gs_detail {
 
 /// Off-processor bytes of the element pairs (a[i], b[map[i]]) over every
 /// linear i of `map`: the pairs whose owners differ, times the element
-/// size. One scan of the owner tables per call; the map is data, so
-/// nothing is memoized.
+/// size. One detail::moved_elems sweep over the owner tables per call; the
+/// map is data, so nothing is memoized.
 template <typename TA, typename TB, std::size_t RA, std::size_t RB>
 [[nodiscard]] index_t offproc_bytes(const Array<TA, RA>& a,
                                     const Array<TB, RB>& b,
@@ -44,10 +44,14 @@ template <typename TA, typename TB, std::size_t RA, std::size_t RB>
   if (Machine::instance().vps() <= 1) return 0;
   const auto oa = detail::owner_table(a);
   const auto ob = detail::owner_table(b);
+  const int* da = oa->data();
+  const int* db = ob->data();
   const index_t* mp = map.data().data();
-  index_t moved = 0;
-  for (index_t i = 0; i < map.size(); ++i) moved += (*oa)[i] != (*ob)[mp[i]];
-  return moved * static_cast<index_t>(sizeof(TB));
+  return detail::moved_elems(
+             map.size(), [mp](index_t i) { return mp[i]; },
+             [da](index_t i) { return da[i]; },
+             [db](index_t j) { return db[j]; }) *
+         static_cast<index_t>(sizeof(TB));
 }
 
 /// The contributions of one combining exchange, staged: under a

@@ -19,48 +19,6 @@ namespace dpf::comm {
 
 namespace transpose_detail {
 
-/// Structural key of the transpose routing: map parameters plus both
-/// ownership structures.
-template <typename T>
-[[nodiscard]] std::uint64_t struct_key(const Array<T, 2>& dst,
-                                       const Array<T, 2>& src, int p) {
-  detail::KeyHash key;
-  key.mix(0x5452u);  // pattern discriminator: transpose
-  key.mix(static_cast<std::uint64_t>(src.extent(0)));
-  key.mix(static_cast<std::uint64_t>(src.extent(1)));
-  key.mix(sizeof(T));
-  key.mix_owner_structure(src, p);
-  key.mix_owner_structure(dst, p);
-  return key.h;
-}
-
-/// Memoized off-processor byte count of the transpose (the O(n*m)
-/// ownership sweep runs once per shape).
-template <typename T>
-[[nodiscard]] index_t offproc_bytes(const Array<T, 2>& dst,
-                                    const Array<T, 2>& src, int p) {
-  if (p <= 1) return 0;
-  const index_t n = src.extent(0);
-  const index_t m = src.extent(1);
-  detail::KeyHash key;
-  key.mix(static_cast<std::uint64_t>(p));
-  key.mix_owner_structure(src, p);
-  key.mix_owner_structure(dst, p);
-  static thread_local detail::OffprocMemo memo;
-  return memo.get(key.h, [&] {
-    const index_t eb = static_cast<index_t>(sizeof(T));
-    index_t offproc = 0;
-    for (index_t j = 0; j < n; ++j) {
-      for (index_t i = 0; i < m; ++i) {
-        const int os = detail::owner_id(src, {j, i});
-        const int od = detail::owner_id(dst, {i, j});
-        if (os != od) offproc += eb;
-      }
-    }
-    return offproc;
-  });
-}
-
 /// Direct shared-memory path: cache-blocked tile transpose, parallel over
 /// destination row blocks.
 template <typename T>
@@ -91,22 +49,40 @@ void transpose_into(Array<T, 2>& dst, const Array<T, 2>& src) {
   const index_t m = src.extent(1);
   assert(dst.extent(0) == m && dst.extent(1) == n);
 
+  // dst element L = i*n + j pulls src element j*m + i. The routing and the
+  // off-processor count depend only on (n, m) and both arrays' owner
+  // structures; they share one key.
+  const auto source_of = [n, m](index_t L) { return (L % n) * m + L / n; };
+  const auto owner_dst = [&](index_t L) {
+    return detail::owner_id_linear(dst, L);
+  };
+  const auto owner_src = [&](index_t J) {
+    return detail::owner_id_linear(src, J);
+  };
   const int p = Machine::instance().vps();
+  detail::KeyHash key;
+  key.mix(0x5452u);  // pattern discriminator: transpose
+  key.mix(static_cast<std::uint64_t>(n));
+  key.mix(static_cast<std::uint64_t>(m));
+  key.mix(sizeof(T));
+  key.mix_owner_structure(src, p);
+  key.mix_owner_structure(dst, p);
   detail::OpTimer timer;
   if (net::algorithmic() && p > 1 && dst.size() > 0) {
-    // Pairwise-exchange AAPC: dst element i*n + j pulls src element j*m + i.
-    const auto plan = net::plan_for(
-        transpose_detail::struct_key(dst, src, p), dst.size(), p,
-        [=](index_t L) { return (L % n) * m + L / n; },
-        [&](index_t L) { return detail::owner_id_linear(dst, L); },
-        [&](index_t J) { return detail::owner_id_linear(src, J); });
+    // Pairwise-exchange AAPC.
+    const auto plan =
+        net::plan_for(key.h, dst.size(), p, source_of, owner_dst, owner_src);
     net::exchange_planned(dst.data().data(), src.data().data(), *plan);
   } else {
     transpose_detail::direct_tiles(dst, src);
   }
+  const double seconds = timer.seconds();
+  const index_t moved =
+      p > 1 ? detail::moved_elems(key.h, dst.size(), source_of, owner_dst,
+                                  owner_src)
+            : 0;
   detail::record(CommPattern::AAPC, 2, 2, src.bytes(),
-                 transpose_detail::offproc_bytes(dst, src, p), 0,
-                 timer.seconds());
+                 moved * static_cast<index_t>(sizeof(T)), 0, seconds);
 }
 
 /// Returns the transpose as a library temporary.

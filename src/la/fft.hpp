@@ -91,13 +91,20 @@ inline void fft_batch(complexd* data, index_t batch, index_t n,
       }
     });
     flops::add_weighted(5 * n * batch);
-    // The ±(len/2) partner exchange: 2 CSHIFTs per stage.
+    // The ±(len/2) partner exchange: 2 CSHIFTs per stage. Its count is
+    // keyed on (half, p) with n folded in, so each stage sweeps once.
     const index_t bytes = 16 * n * batch;
-    const index_t off =
-        p > 1 ? comm::detail::moved_slots(n, [&](index_t i) {
-                  return i ^ half;
-                }) * 16 * batch
-              : 0;
+    index_t off = 0;
+    if (p > 1) {
+      comm::detail::KeyHash key;
+      key.mix(0x4653u);  // stage tag: FFT partner exchange
+      key.mix(static_cast<std::uint64_t>(half));
+      key.mix(static_cast<std::uint64_t>(p));
+      const auto owner = [=](index_t i) { return owner_of(n, p, i); };
+      off = comm::detail::moved_elems(
+                key.h, n, [=](index_t i) { return i ^ half; }, owner, owner) *
+            16 * batch;
+    }
     comm::detail::record(CommPattern::CShift, 1, 1, bytes, off / 2);
     comm::detail::record(CommPattern::CShift, 1, 1, bytes, off / 2);
   }

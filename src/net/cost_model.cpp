@@ -112,8 +112,8 @@ double probe_gamma() {
   return seconds_since(t0) / static_cast<double>(kElems);
 }
 
-/// Probe: per-element cost of the message-passing exchange engine — a real
-/// exchange_planned (post, local copies, probe/fetch, unpack) over a
+/// Probe: per-remote-element cost of the message-passing exchange engine —
+/// a real exchange_planned (post, local copies, probe/fetch, unpack) over a
 /// VP-crossing permutation at the machine's current geometry. This is the
 /// dominant cost of every engine-routed collective and two orders of
 /// magnitude above the bare ownership scan, so it gets its own constant
@@ -146,7 +146,8 @@ double probe_delta() {
     exchange_planned(dst.data().data(), src.data().data(), *plan);
     total += seconds_since(t0);
   }
-  return total / (kReps * static_cast<double>(kElems));
+  // Per element that crosses VPs: predict() charges delta on exactly those.
+  return total / (kReps * static_cast<double>(plan->remote_elems));
 }
 
 }  // namespace
@@ -274,6 +275,12 @@ double CostModel::predict(const CommEvent& e, int p, int workers,
   };
 
   if (algorithmic) {
+    // What an engine event moves: the calibrated per-element cost of the
+    // pack/post/probe/fetch/unpack machinery for each element that crosses
+    // VPs, a plain copy for each one that stays, and the fat-tree
+    // contention surcharge on the off-processor bytes.
+    const double engine = delta * offproc / 8.0 + beta * (bytes - offproc) +
+                          beta * offproc * (hop_factor - 1.0);
     switch (e.pattern) {
       case CommPattern::Reduction:
         // Local partial pass over the payload, then the slot allgather.
@@ -293,15 +300,11 @@ double CostModel::predict(const CommEvent& e, int p, int workers,
       case CommPattern::GatherCombine:
         // The staged combine: a posting region, then one consume region
         // with the local copies folded in, split or not.
-        return charge(2.0 * alpha + delta * n +
-                      beta * offproc * (hop_factor - 1.0));
+        return charge(2.0 * alpha + engine);
       default:
         // Engine patterns: the posting, local and consume regions, split
-        // or not, plus the calibrated per-element cost of the pack/post/
-        // probe/fetch/unpack machinery, with off-processor bytes paying
-        // the fat-tree contention surcharge.
-        return charge(3.0 * alpha + delta * n +
-                      beta * offproc * (hop_factor - 1.0));
+        // or not.
+        return charge(3.0 * alpha + engine);
     }
   }
 

@@ -20,7 +20,8 @@
 ///
 /// alpha (per-message/region latency), beta (per-byte copy time of the
 /// whole machine), gamma (per-element routing cost) and delta (end-to-end
-/// per-element cost of the message-passing exchange engine) are calibrated
+/// cost of the message-passing exchange engine per element that crosses
+/// VPs; the engine's local copies are priced at beta) are calibrated
 /// by microbenchmark probes — a transport ping-pong, a block-distributed
 /// copy sweep, an ownership-scan and a real planned exchange; radix and
 /// contention keep their defaults. set_params() replaces all six. Until
@@ -38,7 +39,7 @@ class CostModel {
     double alpha = 0.0;  ///< seconds per message incl. one region handshake
     double beta = 0.0;   ///< seconds per payload byte copied (whole machine)
     double gamma = 0.0;  ///< seconds per element classified (one thread)
-    double delta = 0.0;  ///< seconds per element through the exchange engine
+    double delta = 0.0;  ///< seconds per remote element through the engine
     int radix = 4;       ///< fat-tree arity
     double contention = 0.33;  ///< extra cost per hop level above the first
   };

@@ -29,19 +29,14 @@ struct Registry {
   std::size_t resolve_capacity() {
     if (capacity == 0) {
       capacity = kDefaultCapacity;
-      if (const char* s = std::getenv("DPF_TRACE_CAP")) {
-        char* end = nullptr;
-        const long v = std::strtol(s, &end, 10);
-        if (end != s && *end == '\0' && v > 0) {
-          capacity = round_pow2(static_cast<std::size_t>(v));
-        } else if (*s != '\0') {
-          // Reject garbage and non-positive caps loudly, naming the value
-          // and the default used (same convention as DPF_VPS/DPF_WORKERS).
-          std::fprintf(stderr,
-                       "dpf: ignoring DPF_TRACE_CAP=\"%s\" (expected a "
-                       "positive integer); using default %zu\n",
-                       s, kDefaultCapacity);
-        }
+      const char* s = std::getenv("DPF_TRACE_CAP");
+      if (s != nullptr && *s != '\0') {
+        // The capacity is a constant (traced benchmark runs drop no event
+        // at it); a run that still sets the knob is told so, once.
+        std::fprintf(stderr,
+                     "dpf: DPF_TRACE_CAP was retired; trace rings hold %zu "
+                     "events\n",
+                     kDefaultCapacity);
       }
     }
     return capacity;

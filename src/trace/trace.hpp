@@ -224,7 +224,7 @@ void reset();
 
 /// Resizes every ring (rounded up to a power of two, min 64 events) and
 /// clears them; later-created rings use the same capacity. Control thread,
-/// quiescent. Default capacity: DPF_TRACE_CAP if set, else 32768.
+/// quiescent. Default capacity: 32768 events (tests shrink it here).
 void set_ring_capacity(std::size_t events);
 
 }  // namespace dpf::trace

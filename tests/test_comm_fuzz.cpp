@@ -4,8 +4,10 @@
 // Each case draws, from its own seed, one primitive — cshift_into,
 // eoshift_into, a ShiftBundle of 1-4 mixed circular/end-off members over
 // arrays of different ranks, transpose_into, butterfly_into in place or out
-// of place, spread_into, gather_into, scatter_into, scatter_add_into, one
-// of the ten full reductions (reduce_sum, dot, reduce_max, reduce_min,
+// of place, spread_into, gather_into, scatter_into, scatter_add_into, the
+// split-phase scatter-add (scatter_add_start, dst zeroed inside the window
+// as fem-3D zeroes its accumulator, then finish), one of the ten full
+// reductions (reduce_sum, dot, reduce_max, reduce_min,
 // reduce_absmax, reduce_product, any, all, count_true, reduce_sum_masked),
 // scan_sum_into inclusive or exclusive, or a pshift of 1-6 circular shifts
 // — and its input: ranks 1-3, extents 1-40 (so extents below p and p that
@@ -281,7 +283,7 @@ Case draw_case(std::uint64_t seed) {
   Draw d(seed);
   const int p = static_cast<int>(d.in(1, 16));
   // Kinds 10-13 all draw a reduction: ten primitives share that branch.
-  const index_t kind = d.in(0, 15);
+  const index_t kind = d.in(0, 16);
   std::ostringstream desc;
   desc << "seed=" << seed << " p=" << p << " ";
   Case c;
@@ -453,7 +455,9 @@ Case draw_case(std::uint64_t seed) {
         }
       }
     });
-  } else if (kind <= 9) {  // gather (7), scatter (8), scatter-add (9)
+  } else if (kind <= 9 || kind == 16) {
+    // gather (7), scatter (8), scatter-add (9), split-phase scatter-add (16)
+    const bool split = kind == 16;
     const index_t rd = d.in(1, 3);
     const index_t rs = d.in(1, 3);
     with_rank(rd, [&](auto rkd) {
@@ -470,7 +474,10 @@ Case draw_case(std::uint64_t seed) {
         const index_t peer = gathers ? ns : nd;
         const index_t range = d.in(1, peer);
         const std::uint64_t mseed = seed * 31 + 5;
-        desc << (gathers ? "gather" : kind == 8 ? "scatter" : "scatter-add")
+        desc << (gathers    ? "gather"
+                 : kind == 8 ? "scatter"
+                 : split     ? "split-phase scatter-add"
+                             : "scatter-add")
              << " dst=" << str(ed) << " src=" << str(es)
              << " map range=" << range << " dst layout=";
         const Layout<RD> ld = draw_layout<RD>(d, p, desc);
@@ -495,6 +502,12 @@ Case draw_case(std::uint64_t seed) {
             for (index_t j = 0; j < ns; ++j) mp[j] = map[std::size_t(j)];
             if (kind == 8) {
               comm::scatter_into(dst, src, mp);
+            } else if (split) {
+              auto handle = comm::scatter_add_start(dst, src, mp);
+              // Every write to dst waits for finish: dst is free inside
+              // the window.
+              for (index_t i = 0; i < nd; ++i) dst[i] = 0.0;
+              handle.finish();
             } else {
               comm::scatter_add_into(dst, src, mp);
             }
@@ -506,6 +519,7 @@ Case draw_case(std::uint64_t seed) {
         fill(dst, seed + 1);
         fill(src, seed);
         c.ref = flat(dst);
+        if (split) std::fill(c.ref.begin(), c.ref.end(), 0.0);
         if (gathers) {
           for (index_t i = 0; i < nd; ++i) {
             c.ref[std::size_t(i)] = src[map[std::size_t(i)]];

@@ -7,7 +7,8 @@
 //   - every check has the same IEEE-754 bits at one worker and at four,
 //     whichever regions ran inline on the dispatcher and which fanned out;
 //   - every recorded comm event, timed or analytic, carries a hop count
-//     and, with the cost model calibrated, a positive predicted time.
+//     and, with the cost model calibrated, a positive predicted time;
+//   - the second sweep finds every off-processor count in the count memo.
 // And the machine peak is the per-core peak times min(vps, workers, hardware
 // threads), following configure() without a second probe.
 
@@ -24,8 +25,10 @@
 #include <utility>
 #include <vector>
 
+#include "comm/detail.hpp"
 #include "core/comm_log.hpp"
 #include "core/machine.hpp"
+#include "core/memo.hpp"
 #include "core/registry.hpp"
 #include "net/net.hpp"
 #include "suite/register_all.hpp"
@@ -118,7 +121,14 @@ TEST(MetricInvariants, AllBenchmarksHoldAtOneWorker) {
 
 TEST(MetricInvariants, AllBenchmarksHoldAtFourWorkers) {
   const ChecksByBenchmark four = expect_invariants_for_all(4);
+  // The whole suite's off-processor counts fit the count memo: the second
+  // sweep at DPF_VPS=16 sweeps no count again and evicts none.
+  const MemoStats counts0 = comm::detail::count_memo().stats();
   const ChecksByBenchmark one = expect_invariants_for_all(1);
+  const MemoStats counts1 = comm::detail::count_memo().stats();
+  EXPECT_EQ(counts1.built - counts0.built, 0u);
+  EXPECT_EQ(counts1.evicted - counts0.evicted, 0u);
+  EXPECT_GT(counts1.reused - counts0.reused, 0u);
   ASSERT_EQ(four.size(), one.size());
   for (const auto& [name, checks] : one) {
     const auto it = four.find(name);

@@ -148,6 +148,32 @@ TEST_F(NetCostModelTest, EnginePatternsPayOneAlphaPerRegion) {
   }
 }
 
+// Under a message-passing mode an engine event pays delta per element that
+// crosses VPs and beta per byte it copies locally: a CSHIFT along a serial
+// axis, which crosses nothing, is priced as the copy it is, not as a
+// transpose of its whole payload.
+TEST_F(NetCostModelTest, EngineEventsPayDeltaOnOffProcessorElementsOnly) {
+  auto& cm = net::CostModel::instance();
+  net::CostModel::Params p;
+  p.alpha = 1.0;  // powers of two keep every sum exact
+  p.beta = 0.25;
+  p.delta = 0.5;
+  p.contention = 0.0;
+  cm.set_params(p);
+  const CommEvent boundary{CommPattern::CShift, 2, 2, 800, 80, 0};
+  const CommEvent serial_axis{CommPattern::CShift, 2, 2, 800, 0, 0};
+  // 3 alpha + 10 remote elements x delta + 720 local bytes x beta.
+  EXPECT_EQ(cm.predict(boundary, 16, 4, /*algorithmic=*/true),
+            3 * p.alpha + 10 * p.delta + 720 * p.beta);
+  // 3 alpha + 800 local bytes x beta.
+  EXPECT_EQ(cm.predict(serial_axis, 16, 4, /*algorithmic=*/true),
+            3 * p.alpha + 800 * p.beta);
+  // The staged combine runs two regions and the same per-element terms.
+  const CommEvent scatter{CommPattern::Scatter, 1, 1, 800, 80, 0};
+  EXPECT_EQ(cm.predict(scatter, 16, 4, /*algorithmic=*/true),
+            2 * p.alpha + 10 * p.delta + 720 * p.beta);
+}
+
 TEST_F(NetCostModelTest, AnnotateFillsHopsAndPrediction) {
   auto& cm = net::CostModel::instance();
   net::CostModel::Params p;

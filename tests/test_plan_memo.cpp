@@ -3,8 +3,9 @@
 // of as many keys as the capacity rebuilds nothing on its second run,
 // eviction takes exactly the least recently used entry, an rp-shaped
 // overlapped stencil builds each of its six shift plans once, the shift
-// off-processor memo agrees with a fresh scan and keeps one entry per axis
-// shape whatever the element type or rank, owner tables agree with
+// counts agree with a fresh moved_elems sweep and keep one count-memo entry
+// per axis shape whatever the element type or rank, a repeated transpose,
+// spread or FFT sweeps no count again, owner tables agree with
 // owner_id_linear on every element and are shared per ownership structure,
 // and `dpfrun --report comm` prints the plan and owner-table counters.
 
@@ -19,6 +20,7 @@
 #include "comm/comm.hpp"
 #include "core/machine.hpp"
 #include "core/memo.hpp"
+#include "la/fft.hpp"
 #include "net/exchange_plan.hpp"
 
 namespace dpf {
@@ -145,7 +147,7 @@ TEST_F(PlanMemoMachineTest, RpShapedShiftBundleBuildsSixPlans) {
   }
 }
 
-TEST_F(PlanMemoMachineTest, ShiftOffprocMemoMatchesAFreshScan) {
+TEST_F(PlanMemoMachineTest, ShiftCountMatchesAFreshScan) {
   Machine::instance().configure(4);
   auto a = make_vector<double>(10);
   const index_t n = a.extent(0);
@@ -153,19 +155,21 @@ TEST_F(PlanMemoMachineTest, ShiftOffprocMemoMatchesAFreshScan) {
   const index_t slot = a.bytes() / n;
   // Circular and end-off shifts share (extent, shift) keys but not their
   // counts; two rounds make the second one all memo hits.
+  const auto owner = [&](index_t j) {
+    return owner_of(n, procs, j, a.layout().dist());
+  };
   for (int round = 0; round < 2; ++round) {
     for (index_t s = -12; s <= 12; ++s) {
       const index_t sh = ((s % n) + n) % n;
-      const index_t circular = comm::detail::moved_slots(
-          n, [&](index_t j) { return (j + sh) % n; }, a.layout().dist(),
-          procs);
-      const index_t end_off = comm::detail::moved_slots(
+      const index_t circular = comm::detail::moved_elems(
+          n, [&](index_t j) { return (j + sh) % n; }, owner, owner);
+      const index_t end_off = comm::detail::moved_elems(
           n,
           [&](index_t j) {
             const index_t jj = j + s;
             return (jj >= 0 && jj < n) ? jj : j;
           },
-          a.layout().dist(), procs);
+          owner, owner);
       EXPECT_EQ(comm::detail::shift_offproc_bytes(a, 0, sh, true),
                 circular * slot)
           << "cshift " << s;
@@ -176,10 +180,10 @@ TEST_F(PlanMemoMachineTest, ShiftOffprocMemoMatchesAFreshScan) {
   }
 }
 
-TEST_F(PlanMemoMachineTest, ShiftMemoSharedAcrossElementTypesAndRanks) {
+TEST_F(PlanMemoMachineTest, ShiftCountSharedAcrossElementTypesAndRanks) {
   Machine::instance().configure(4);
-  comm::detail::shift_memo().clear();
-  const MemoStats before = comm::detail::shift_memo().stats();
+  comm::detail::count_memo().clear();
+  const MemoStats before = comm::detail::count_memo().stats();
   // One axis shape, extent 10 over 4 processors shifted by 3, under three
   // element types and ranks: one key.
   const auto v = make_vector<double>(10);
@@ -189,7 +193,7 @@ TEST_F(PlanMemoMachineTest, ShiftMemoSharedAcrossElementTypesAndRanks) {
   const index_t dv = comm::detail::shift_offproc_bytes(v, 0, 3, true);
   const index_t dc = comm::detail::shift_offproc_bytes(c, 0, 3, true);
   const index_t dm = comm::detail::shift_offproc_bytes(m, 0, 3, true);
-  const MemoStats after = comm::detail::shift_memo().stats();
+  const MemoStats after = comm::detail::count_memo().stats();
   EXPECT_EQ(after.built - before.built, 1u);
   EXPECT_EQ(after.reused - before.reused, 2u);
   EXPECT_GT(dv, 0);
@@ -198,20 +202,64 @@ TEST_F(PlanMemoMachineTest, ShiftMemoSharedAcrossElementTypesAndRanks) {
 }
 
 TEST_F(PlanMemoMachineTest, FortyShiftKeysRunTwiceBuildEachOnce) {
-  static_assert(comm::detail::ShiftMemo::kCapacity == 64);
+  static_assert(comm::detail::CountMemo::kCapacity == 64);
   Machine::instance().configure(4);
-  comm::detail::shift_memo().clear();
-  const MemoStats before = comm::detail::shift_memo().stats();
+  comm::detail::count_memo().clear();
+  const MemoStats before = comm::detail::count_memo().stats();
   const auto v = make_vector<double>(64);
   for (int round = 0; round < 2; ++round) {
     for (index_t s = 1; s <= 40; ++s) {
       (void)comm::detail::shift_offproc_bytes(v, 0, s, true);
     }
   }
-  const MemoStats after = comm::detail::shift_memo().stats();
+  const MemoStats after = comm::detail::count_memo().stats();
   EXPECT_EQ(after.built - before.built, 40u);
   EXPECT_EQ(after.reused - before.reused, 40u);
   EXPECT_EQ(after.evicted - before.evicted, 0u);
+}
+
+TEST_F(PlanMemoMachineTest, SecondTransposeAndSpreadBuildNoCount) {
+  Machine::instance().configure(16);
+  Array2<double> a{Shape<2>(24, 40)};
+  Array2<double> at{Shape<2>(40, 24)};
+  auto v = make_vector<double>(24);
+  Array2<double> sp{Shape<2>(40, 24)};
+  for (index_t i = 0; i < a.size(); ++i) a[i] = static_cast<double>(i);
+  for (index_t i = 0; i < v.size(); ++i) v[i] = static_cast<double>(i);
+  for (const char* mode : {"direct", "overlap"}) {
+    setenv("DPF_NET", mode, 1);
+    CommLog::instance().reset();
+    comm::transpose_into(at, a);
+    comm::spread_into(sp, v, 0);
+    const MemoStats before = comm::detail::count_memo().stats();
+    comm::transpose_into(at, a);
+    comm::spread_into(sp, v, 0);
+    const MemoStats after = comm::detail::count_memo().stats();
+    EXPECT_EQ(after.built - before.built, 0u) << mode;
+    EXPECT_EQ(after.reused - before.reused, 2u) << mode;
+    // A memo hit returns the first call's count.
+    const auto events = CommLog::instance().events();
+    ASSERT_EQ(events.size(), 4u) << mode;
+    EXPECT_GT(events[0].offproc_bytes, 0) << mode;
+    EXPECT_GT(events[1].offproc_bytes, 0) << mode;
+    EXPECT_EQ(events[2].offproc_bytes, events[0].offproc_bytes) << mode;
+    EXPECT_EQ(events[3].offproc_bytes, events[1].offproc_bytes) << mode;
+  }
+}
+
+TEST_F(PlanMemoMachineTest, SecondFftOfOneLengthBuildsNoCount) {
+  Machine::instance().configure(16);
+  Array1<complexd> x{Shape<1>(256)};
+  for (index_t i = 0; i < x.size(); ++i) {
+    x[i] = complexd(static_cast<double>(i % 7), 0.0);
+  }
+  la::fft_1d(x, la::FftDirection::Forward);
+  const MemoStats before = comm::detail::count_memo().stats();
+  la::fft_1d(x, la::FftDirection::Inverse);
+  const MemoStats after = comm::detail::count_memo().stats();
+  // Eight stages of a 256-point transform, one count each, all memo hits.
+  EXPECT_EQ(after.built - before.built, 0u);
+  EXPECT_EQ(after.reused - before.reused, 8u);
 }
 
 /// Expects owner_table(a) to hold owner_id_linear(a, i) for every i of `a`

@@ -304,16 +304,18 @@ int cmd_run(const std::string& name, const std::vector<std::string>& args) {
 
   if (!trace_path.empty()) CommLog::instance().reset();
   if (chrome_trace || report_trace) trace::reset();
-  // Plan- and owner-table-memo counters and region counts over the run
-  // alone, not the calibration above or the peak probe below.
+  // Plan-, owner-table- and count-memo counters and region counts over the
+  // run alone, not the calibration above or the peak probe below.
   Machine& machine = Machine::instance();
   const MemoStats plans0 = net::plan_memo().stats();
   const MemoStats owners0 = comm::detail::owner_table_memo().stats();
+  const MemoStats counts0 = comm::detail::count_memo().stats();
   const Machine::RegionCounts regions0 = machine.region_counts();
   const auto r = def->run_with_defaults(cfg);
   const Machine::RegionCounts regions1 = machine.region_counts();
   const MemoStats plans1 = net::plan_memo().stats();
   const MemoStats owners1 = comm::detail::owner_table_memo().stats();
+  const MemoStats counts1 = comm::detail::count_memo().stats();
   // Flush the timeline once, before the peak probe below can append its
   // own region to the rings.
   trace::Snapshot trace_snap;
@@ -412,6 +414,7 @@ int cmd_run(const std::string& name, const std::vector<std::string>& args) {
     };
     memo_line("exchange plans", plans0, plans1);
     memo_line("owner tables", owners0, owners1);
+    memo_line("offproc counts", counts0, counts1);
     std::printf("  %-20s %5s %8s %12s %12s %12s %12s %12s %8s\n", "pattern",
                 "ranks", "count", "bytes", "offproc B", "measured s",
                 "overlap s", "predicted s", "ovl eff");
